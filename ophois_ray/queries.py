@@ -325,7 +325,9 @@ def q_polyline_simplify(sf_dir: str):
 
 
 def _sql_polyline_simplify() -> str:
-    parts = [f"""pts AS (
+    # DuckDB inlines every CTE reference: round CTEs read twice are
+    # MATERIALIZED, else the plan grows as 2^rounds and runs out of memory.
+    parts = [f"""pts AS MATERIALIZED (
   SELECT p_partkey AS tr, t,
          t * 400 + ((p_partkey * 31 + t * 17) * 48271 % 2147483647)
                    * 48271 % 2147483647 % 257 AS x,
@@ -334,7 +336,8 @@ def _sql_polyline_simplify() -> str:
   FROM part CROSS JOIN (SELECT unnest(range(0, {_DP_T})) AS t)
   WHERE p_partkey % 7 = 0
 ),
-iv0 AS (SELECT tr, min(t) AS lo, max(t) AS hi FROM pts GROUP BY tr)"""]
+iv0 AS MATERIALIZED (
+  SELECT tr, min(t) AS lo, max(t) AS hi FROM pts GROUP BY tr)"""]
     rounds = _DP_T - 2
     for k in range(rounds):
         parts.append(f"""sp{k} AS (
@@ -349,9 +352,9 @@ iv0 AS (SELECT tr, min(t) AS lo, max(t) AS hi FROM pts GROUP BY tr)"""]
   QUALIFY row_number() OVER (PARTITION BY i.tr, i.lo, i.hi
                              ORDER BY c2 DESC, p.t) = 1
 ),
-good{k} AS (SELECT tr, lo, hi, split FROM sp{k}
-            WHERE c2 > {_DP_EPS2} * len2),
-iv{k + 1} AS (
+good{k} AS MATERIALIZED (SELECT tr, lo, hi, split FROM sp{k}
+                         WHERE c2 > {_DP_EPS2} * len2),
+iv{k + 1} AS MATERIALIZED (
   SELECT tr, lo, split AS hi FROM good{k} WHERE split - lo > 1
   UNION ALL
   SELECT tr, split AS lo, hi FROM good{k} WHERE hi - split > 1
@@ -5111,33 +5114,35 @@ def q_part_kcore(sf_dir: str):
 
 
 SQL_PART_KCORE = """
-WITH op AS (
+-- DuckDB inlines every CTE reference: round CTEs read twice are
+-- MATERIALIZED, else the plan grows as 2^rounds and runs out of memory.
+WITH op AS MATERIALIZED (
   SELECT DISTINCT l_orderkey AS o, l_partkey AS p FROM lineitem
-), e0 AS (
+), e0 AS MATERIALIZED (
   SELECT DISTINCT a.p AS u, b.p AS v
   FROM op a JOIN op b ON a.o = b.o AND a.p < b.p
-), d0 AS (
+), d0 AS MATERIALIZED (
   SELECT node, count(*) AS deg
   FROM (SELECT u AS node FROM e0 UNION ALL SELECT v AS node FROM e0)
   GROUP BY node
-), s0 AS (SELECT node FROM d0 WHERE deg >= 100),
-e1 AS (
+), s0 AS MATERIALIZED (SELECT node FROM d0 WHERE deg >= 100),
+e1 AS MATERIALIZED (
   SELECT e0.u, e0.v FROM e0
   JOIN s0 a ON e0.u = a.node JOIN s0 b ON e0.v = b.node
-), d1 AS (
+), d1 AS MATERIALIZED (
   SELECT node, count(*) AS deg
   FROM (SELECT u AS node FROM e1 UNION ALL SELECT v AS node FROM e1)
   GROUP BY node
-), s1 AS (SELECT node FROM d1 WHERE deg >= 100),
-e2 AS (
+), s1 AS MATERIALIZED (SELECT node FROM d1 WHERE deg >= 100),
+e2 AS MATERIALIZED (
   SELECT e1.u, e1.v FROM e1
   JOIN s1 a ON e1.u = a.node JOIN s1 b ON e1.v = b.node
-), d2 AS (
+), d2 AS MATERIALIZED (
   SELECT node, count(*) AS deg
   FROM (SELECT u AS node FROM e2 UNION ALL SELECT v AS node FROM e2)
   GROUP BY node
-), s2 AS (SELECT node FROM d2 WHERE deg >= 100),
-e3 AS (
+), s2 AS MATERIALIZED (SELECT node FROM d2 WHERE deg >= 100),
+e3 AS MATERIALIZED (
   SELECT e2.u, e2.v FROM e2
   JOIN s2 a ON e2.u = a.node JOIN s2 b ON e2.v = b.node
 )
