@@ -302,9 +302,7 @@ def headline(pages_dir: str, osm_dir: str) -> dict:
     pg = pages.filter_geotagged(pages.geotag(pg)).select_columns(["url", "lat", "lon"])
     # res matched to edge spacing (~0.0004 deg): ~2-3 edges/cell keeps
     # candidate sets ~30/page; ring=1 bounds the snap radius to ~1 cell
-    snapped, lineage = spatial.knn_snap_broadcast(
-        pg, ewc, res=19, ring=1, concurrency=NUM_CPUS
-    )
+    snapped, lineage = spatial.knn_snap_broadcast(pg, ewc, res=19, ring=1)
     n_snapped = snapped.count()
     t_join = time.monotonic() - t1
     return {

@@ -23,9 +23,10 @@ by a fixed regex ``coords <lat>,<lon>``; pages without a match get null
 coordinates and are dropped by ``filter_geotagged``.
 
 D4 dedup_pages — exact per-url dedup keeping the earliest warc_ts
-(deterministic tiebreak: smaller html payload hash). Implemented as a
-pack-min groupby + broadcast winner filter: one shuffle over (url,
-20-byte packed key), never over html payloads.
+(deterministic tiebreak: smaller html payload hash); a row with a null
+url or a null warc_ts never wins. Implemented as one Ray task that
+merges the pruned (url, warc_ts) rows into sorted winner arrays + a
+broadcast winner filter: no exchange, and never over html payloads.
 """
 
 from __future__ import annotations
@@ -261,8 +262,27 @@ def _packed_key(df: pd.DataFrame) -> np.ndarray:
     )
 
 
+def _key_valid(t: "pa.Table"):
+    """The D4 null-key rule as a row mask: a row with a null url or a
+    null warc_ts never wins, under either ``dedup_pages`` strategy."""
+    import pyarrow.compute as pc
+
+    return pc.and_(pc.is_valid(t["url"]), pc.is_valid(t["warc_ts"]))
+
+
+def _winner_rows(t: "pa.Table") -> "pa.Table":
+    """Pass A's projection: one (url, win_ts, n_at_win=1) row per input
+    row with a valid key, for ``_build_winner_arrays_impl`` to merge."""
+    t = t.filter(_key_valid(t))
+    return pa.table({
+        "url": t["url"],
+        "win_ts": t["warc_ts"].cast(pa.int64()),
+        "n_at_win": pa.array(np.ones(t.num_rows, dtype=np.int64)),
+    })
+
+
 def _build_winner_arrays_impl(*tables):
-    """Assemble the sorted winner broadcast from merged winner blocks.
+    """Assemble the sorted winner broadcast from pass A's key blocks.
 
     Runs as a Ray task (never on the driver): returns (a) sorted
     fixed-width numpy url array + int64 win_ts array — deserialization
@@ -276,7 +296,7 @@ def _build_winner_arrays_impl(*tables):
     urls = np.asarray(tbl["url"].to_pandas(), dtype=str)
     ts = np.asarray(tbl["win_ts"].to_pandas(), dtype=np.int64)
     n_at_win = np.asarray(tbl["n_at_win"].to_pandas(), dtype=np.int64)
-    # exact per-url merge of partials that may still repeat a url across
+    # exact per-url merge of rows that repeat a url within and across
     # blocks ((min_ts, n_at_min) is a semigroup, so any partial grouping
     # upstream is legal): sort by (url, ts); a url's winner row is the
     # first of its run, and its tie count is the (url, min_ts) pair-group
@@ -335,12 +355,13 @@ def dedup_pages(pages, *, strategy: str = "broadcast", num_buckets: int = 64,
     Defaults to ``pages``.
 
     strategy="broadcast" (default): pass A scans ONLY (url, warc_ts) —
-    columns pruned at the parquet read — combines per-batch partial
-    minima, shrinks them with one width-sized repartition + per-block
-    combine (exact: (min_ts, n_at_min) is a semigroup), and assembles
-    the sorted winner arrays inside a Ray task that performs the final
-    per-url merge (the driver only ever sees the tiny tied-url set, so
-    pass A scales with the cluster). Urls whose minimum timestamp is shared by several rows
+    columns pruned at the parquet read — projects each batch to
+    (url, win_ts, n_at_win=1) in Arrow, and hands the blocks straight
+    to one Ray task that performs the exact per-url merge and assembles
+    the sorted winner arrays (the driver only ever sees block refs and
+    the tiny tied-url set). There is no exchange: that task must see
+    every url anyway, so a pre-combine shuffle would only add a barrier.
+    Urls whose minimum timestamp is shared by several rows
     (rare in a real crawl) get an extra scan that tie-breaks on the
     html content hash. Pass B broadcast-filters and FUSES with the
     downstream extract/geotag task stages into a single streaming pass.
@@ -354,6 +375,9 @@ def dedup_pages(pages, *, strategy: str = "broadcast", num_buckets: int = 64,
     high local parallelism, so it is the explicit scale-out path, not
     the default.
 
+    Under both strategies a row with a null url or a null warc_ts never
+    wins; a url whose every row has a null warc_ts is dropped.
+
     Byte-identical duplicate ROWS (same url AND warc_ts AND html) in
     different input blocks both match the winner key under "broadcast"
     and both survive; "shuffle" collapses them. True-duplicate rows are
@@ -362,9 +386,8 @@ def dedup_pages(pages, *, strategy: str = "broadcast", num_buckets: int = 64,
     """
     if strategy == "shuffle":
         def add_key(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["__packed"] = _packed_key(df)
-            return df
+            df = df[df["url"].notna() & df["warc_ts"].notna()]
+            return df.assign(__packed=_packed_key(df))
 
         def keep_first(df: pd.DataFrame) -> pd.DataFrame:
             df = df.sort_values(["url", "__packed"], kind="stable")
@@ -381,55 +404,14 @@ def dedup_pages(pages, *, strategy: str = "broadcast", num_buckets: int = 64,
         )
 
     # ---- pass A: min warc_ts per url, reading ONLY (url, warc_ts) ----
-    def partial_ts(t: "pa.Table") -> "pa.Table":
-        ts = t["warc_ts"].cast(pa.int64()).to_numpy()
-        df = pd.DataFrame({"url": np.array(t["url"].to_pylist(), dtype=object), "ts": ts})
-        g = df.groupby("url", as_index=False).agg(
-            min_ts=("ts", "min"), n=("ts", "size")
-        )
-        # how many rows sit exactly at the batch-local min (tie detection)
-        mins = g.set_index("url")["min_ts"]
-        at_min = df[df["ts"].to_numpy() == mins.reindex(df["url"]).to_numpy()]
-        g["n_at_min"] = (
-            at_min.groupby("url").size().reindex(g["url"]).to_numpy(np.int64)
-        )
-        return pa.table(
-            {
-                "url": pa.array(g["url"].tolist(), type=pa.string()),
-                "min_ts": pa.array(g["min_ts"].to_numpy(np.int64)),
-                "n_at_min": pa.array(g["n_at_min"].to_numpy(np.int64)),
-            }
-        )
-
-    # distributed combine of the per-batch partials: (min_ts, n_at_min)
-    # per url is a semigroup, so one repartition + per-block combine is
-    # exact under ANY row grouping — the final winner-array task re-merges
-    # urls that still straddle blocks. This deliberately avoids a
-    # key-partitioned groupby here: Ray's sort shuffle over many small
-    # partial blocks measured ~7 s of parallelism-INDEPENDENT barrier +
-    # scheduling cost at every scale (the round-1 scaling ceiling), while
-    # a width-sized repartition over the tiny pre-aggregated rows costs
-    # ~0.3 s. The driver never holds partials; the sorted broadcast
-    # arrays are assembled inside a Ray task.
+    # No pre-combine: the winner task merges every url exactly and must
+    # see every url anyway, so an exchange before it only adds a barrier
+    # (measured ~3x this pass's wall time). The driver holds block refs,
+    # never the key rows.
     import ray
 
-    def combine_block(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("url", as_index=False).agg(win_ts=("min_ts", "min"))
-        m = df.merge(g, on="url")
-        at = m[m["min_ts"].to_numpy() == m["win_ts"].to_numpy()]
-        n = at.groupby("url", as_index=False).agg(n_at_win=("n_at_min", "sum"))
-        return g.merge(n, on="url")
-
     src = key_source if key_source is not None else pages
-    partials = src.select_columns(["url", "warc_ts"]).map_batches(
-        partial_ts, batch_format="pyarrow"
-    )
-    width = max(1, int(ray.cluster_resources().get("CPU", 8)))
-    combined = partials.repartition(width).map_batches(
-        combine_block, batch_format="pandas"
-    )
-
-    refs = combined.to_arrow_refs()
+    refs = src.map_batches(_winner_rows, batch_format="pyarrow").to_arrow_refs()
     if refs:
         winner_ref, ties_ref = _build_winner_broadcast.options(num_returns=2).remote(
             *refs
@@ -443,9 +425,7 @@ def dedup_pages(pages, *, strategy: str = "broadcast", num_buckets: int = 64,
     # ---- pass A2 (rare): html-hash tie-break among exact-ts ties ----
     tie_winner: dict = {}
     if tie_urls:
-        import ray as _ray
-
-        tie_ref = _ray.put((tie_urls, tie_win_ts))
+        tie_ref = ray.put((tie_urls, tie_win_ts))
 
         def tie_keys(t: "pa.Table") -> "pa.Table":
             t_urls, t_win = _fetch_cached(tie_ref)
@@ -480,10 +460,15 @@ def dedup_pages(pages, *, strategy: str = "broadcast", num_buckets: int = 64,
     def keep(t: "pa.Table") -> "pa.Table":
         w_urls, w_ts = _fetch_cached(winner_ref)
         w_tie = _fetch_cached(tie_winner_ref)
+        if not len(w_urls):
+            return t.slice(0, 0)
+        # a null url would otherwise match a winner url "None"
+        if t["url"].null_count or t["warc_ts"].null_count:
+            t = t.filter(_key_valid(t))
         urls = np.asarray(t["url"].to_pylist(), dtype=str)
         ts = t["warc_ts"].cast(pa.int64()).to_numpy()
         pos = np.searchsorted(w_urls, urls)
-        pos = np.minimum(pos, max(len(w_urls) - 1, 0))
+        pos = np.minimum(pos, len(w_urls) - 1)
         mask = (w_urls[pos] == urls) & (w_ts[pos] == ts)
         if w_tie and mask.any():
             packed = None

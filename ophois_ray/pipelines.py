@@ -237,7 +237,7 @@ def page_keys_from_documents(sf_dir: str):
     return docs.map_batches(keys, batch_format="pandas")
 
 
-def flagship(sf_dir: str, *, res: int = 11, ring: int = 1, delta: float | None = None,
+def flagship(sf_dir: str, *, res: int = 11, ring: int = 1,
              local_cap_bytes: int = 64 << 20):
     """The headline pipeline: synthetic city street graph (around the
     pages hotspots) + pages clean-up + kNN snap of every geotagged page

@@ -555,7 +555,6 @@ def knn_snap_broadcast(
     *,
     res: int,
     ring: int = 1,
-    concurrency: int = 8,
     batch_size: int | None = None,
     edge_cap: int = 20_000_000,
 ):

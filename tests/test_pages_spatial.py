@@ -106,9 +106,9 @@ def test_dedup_pages_first_wins(pages_ds):
 
 def test_dedup_pages_cross_block_dups_and_ts_ties():
     """Urls duplicated ACROSS input blocks, including exact-min-ts ties
-    (winner = smaller html content hash): exercises the semigroup
-    combine + vectorized final merge in _build_winner_arrays_impl and
-    the rare pass-A2 tie-break scan."""
+    (winner = smaller html content hash): exercises the vectorized
+    per-url merge of every block's key rows in _build_winner_arrays_impl
+    and the rare pass-A2 tie-break scan."""
     t = pd.Timestamp
     blocks = [
         pd.DataFrame({
@@ -150,6 +150,104 @@ def test_dedup_pages_cross_block_dups_and_ts_ties():
         .set_index("url").sort_index()
     )
     assert (got_sh["html"] == got["html"]).all()
+
+
+def _dedup_oracle(df: pd.DataFrame) -> pd.DataFrame:
+    """Sequential D4: drop null keys, then the smallest packed
+    (ts, html hash) key per url wins."""
+    df = df[df["url"].notna() & df["warc_ts"].notna()].copy()
+    df["__packed"] = pages._packed_key(df)
+    return (
+        df.sort_values(["url", "__packed"], kind="stable")
+        .drop_duplicates(subset=["url"], keep="first")
+        .drop(columns=["__packed"])
+        .set_index("url")
+        .sort_index()
+    )
+
+
+def test_dedup_pages_null_keys_never_win_both_strategies():
+    """One null-key rule for both strategies: a null url never wins (and
+    never matches a literal "None" winner), a null warc_ts never beats a
+    real one, and a url whose only rows have null warc_ts is dropped."""
+    t = pd.Timestamp
+    nat = pd.NaT
+    blocks = [
+        pd.DataFrame({
+            "url": ["a", None, "None"],
+            "warc_ts": [t("2024-01-01"), t("2024-01-01"), t("2024-01-01")],
+            "html": [b"<p>a-real</p>", b"<p>null-url</p>", b"<p>lit-none</p>"],
+        }),
+        pd.DataFrame({
+            "url": ["a", "n", None],
+            "warc_ts": [nat, nat, t("2023-01-01")],
+            "html": [b"<p>a-nat</p>", b"<p>n-nat</p>", b"<p>null-early</p>"],
+        }),
+    ]
+    ds = ray.data.from_pandas(blocks)
+    exp = _dedup_oracle(pd.concat(blocks, ignore_index=True))
+    assert list(exp.index) == ["None", "a"]
+    for strategy in ("broadcast", "shuffle"):
+        got = (
+            pages.dedup_pages(ds, strategy=strategy).to_pandas()
+            .set_index("url").sort_index()
+        )
+        assert list(got.index) == ["None", "a"], strategy
+        assert list(got["html"]) == [b"<p>lit-none</p>", b"<p>a-real</p>"], strategy
+        assert (got["warc_ts"] == exp["warc_ts"]).all(), strategy
+    # only null keys: no winners, and pass B still runs without raising
+    only_null = ray.data.from_pandas([blocks[1].iloc[1:]])
+    for strategy in ("broadcast", "shuffle"):
+        assert pages.dedup_pages(only_null, strategy=strategy).count() == 0
+
+
+def test_dedup_pages_pass_a_block_layout_independent():
+    """The winners do not depend on how pass A's key rows are blocked:
+    one key block, one key block per row, no separate key source, and
+    a url repeated (with a ts tie) inside one batch all agree with the
+    sequential oracle. A 0-row input returns an empty result."""
+    t = pd.Timestamp
+    df = pd.DataFrame({
+        "url": ["a", "b", "a", "c", "b", "a", "d", "c"],
+        "warc_ts": [t("2024-01-05"), t("2024-01-02"), t("2024-01-03"),
+                    t("2024-01-01"), t("2024-01-09"), t("2024-01-03"),
+                    t("2024-01-04"), t("2024-01-06")],
+        "html": [b"<p>a1</p>", b"<p>b1</p>", b"<p>a2</p>", b"<p>c1</p>",
+                 b"<p>b2</p>", b"<p>a3</p>", b"<p>d1</p>", b"<p>c2</p>"],
+    })
+    exp = _dedup_oracle(df)
+    keys = df[["url", "warc_ts"]]
+    pg = ray.data.from_pandas([df])
+    layouts = {
+        "one_block": ray.data.from_pandas([keys]),
+        "block_per_row": ray.data.from_pandas(
+            [keys.iloc[i:i + 1] for i in range(len(keys))]),
+        "none": None,
+    }
+    for name, key_source in layouts.items():
+        got = (
+            pages.dedup_pages(pg, key_source=key_source).to_pandas()
+            .set_index("url").sort_index()
+        )
+        assert list(got.index) == list(exp.index), name
+        assert list(got["html"]) == list(exp["html"]), name
+    empty = ray.data.from_pandas([df.iloc[:0]])
+    assert pages.dedup_pages(empty).count() == 0
+    assert pages.dedup_pages(
+        empty, key_source=ray.data.from_pandas([keys.iloc[:0]])).count() == 0
+
+
+def test_dedup_pages_broadcast_runs_without_an_exchange(pages_ds, monkeypatch):
+    """Pass A hands its key blocks straight to the winner task: the
+    broadcast strategy must not call repartition or groupby."""
+    def refuse(*a, **k):
+        raise AssertionError("dedup_pages(strategy='broadcast') ran an exchange")
+
+    monkeypatch.setattr(ray.data.Dataset, "repartition", refuse)
+    monkeypatch.setattr(ray.data.Dataset, "groupby", refuse)
+    deduped = pages.dedup_pages(pages_ds, strategy="broadcast").to_pandas()
+    assert deduped["url"].is_unique
+    assert len(deduped) == pages_ds.to_pandas()["url"].nunique()
 
 
 def _brute_force_nn(pg: pd.DataFrame, eg: pd.DataFrame) -> pd.DataFrame:
