@@ -190,6 +190,14 @@ def k_ring_many(cells: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return rows[ok], encode(res[rows[ok]], x[ok], y[ok])
 
 
+def ragged_arange(counts) -> np.ndarray:
+    """Concatenated ``arange(c)`` for every c in ``counts`` (int64), built
+    with repeat/cumsum instead of a per-row Python loop."""
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
+
+
 def cells_covering_segment(lat1, lon1, lat2, lon2, res: int, pad: int = 0):
     """Cells traversed by planar segments; vectorized over edge arrays.
 
@@ -214,8 +222,7 @@ def cells_covering_segment(lat1, lon1, lat2, lon2, res: int, pad: int = 0):
     steps = (np.ceil(span * 2).astype(np.int64) + 1).clip(1, None)
     edge_idx = np.repeat(np.arange(len(steps), dtype=np.int64), steps + 1)
     # t = i/steps per edge, i = 0..steps
-    i_local = np.concatenate([np.arange(s + 1, dtype=np.int64) for s in steps]) if len(steps) else np.array([], dtype=np.int64)
-    t = i_local / steps[edge_idx]
+    t = ragged_arange(steps + 1) / steps[edge_idx]
     lat = lat1[edge_idx] + t * (lat2[edge_idx] - lat1[edge_idx])
     lon = lon1[edge_idx] + t * (lon2[edge_idx] - lon1[edge_idx])
     cells = cell_of(lat, lon, res)

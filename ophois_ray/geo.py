@@ -72,13 +72,14 @@ def planar_sqdist(lat1, lon1, lat2, lon2):
     return dlat * dlat + dlon * dlon
 
 
-def point_segment_sqdist(plat, plon, alat, alon, blat, blon):
-    """Squared planar distance from point(s) P to segment(s) AB.
+def closest_point(plat, plon, alat, alon, blat, blon):
+    """(lat, lon) of the point of segment(s) AB closest to point(s) P.
 
     Planar in lon/lat space (consistent with the reference's planar
     midpoint/lerp semantics, src/geo.rs:19-31). Vectorized; exact
     arithmetic except one division (IEEE-exact-rounded, deterministic).
-    Degenerate segments (A == B) fall back to point distance.
+    Degenerate segments (A == B) give A. The op order is mirrored by
+    the SQL nearest-neighbour queries — do not refactor.
     """
     plat = np.asarray(plat, dtype=np.float64)
     plon = np.asarray(plon, dtype=np.float64)
@@ -94,9 +95,13 @@ def point_segment_sqdist(plat, plon, alat, alon, blat, blon):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(seg_sq > 0.0, num / np.where(seg_sq > 0.0, seg_sq, 1.0), 0.0)
     t = np.clip(t, 0.0, 1.0)
-    clat = alat + t * dlat
-    clon = alon + t * dlon
-    return planar_sqdist(plat, plon, clat, clon)
+    return alat + t * dlat, alon + t * dlon
+
+
+def point_segment_sqdist(plat, plon, alat, alon, blat, blon):
+    """Squared planar distance from point(s) P to segment(s) AB: the
+    planar_sqdist from P to its ``closest_point`` on AB."""
+    return planar_sqdist(plat, plon, *closest_point(plat, plon, alat, alon, blat, blon))
 
 
 def float_repr(x: float) -> str:

@@ -96,42 +96,7 @@ class ExtractText:
         s = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else str(raw)
         return _strip_one(s)
 
-    # The same 4 strip passes as Arrow RE2 kernels. MEASURED SLOWER than
-    # the Python loop on this corpus (0.42 s vs 0.29 s per 512 x 37 KB
-    # pages: RE2's lazy-quantifier simulation loses to CPython sre's
-    # backtracking scan here), so the default __call__ keeps the
-    # per-row compiled-re path — which is embarrassingly parallel and
-    # fuses identically. Kept selectable for corpora where RE2 wins
-    # (entity-light, tag-dense pages); byte-parity with
-    # oracle_extract_text holds for both (pytest byte-identity gate).
-    _ARROW_PASSES = (
-        r"(?s)<!--.*?-->",
-        r"(?si)<script\b.*?</script\s*>",
-        r"(?si)<style\b.*?</style\s*>",
-        r"<[^>]*>",
-    )
-    use_arrow = False
-
-    def _call_arrow(self, batch: "pa.Table") -> "pa.Table":
-        import pyarrow.compute as pc
-
-        col = batch[self.in_col]
-        if pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type):
-            col = pc.cast(col, pa.large_string() if pa.types.is_large_binary(col.type) else pa.string())
-        for pat in self._ARROW_PASSES:
-            col = pc.replace_substring_regex(col, pattern=pat, replacement=" ")
-        texts = pa.array(
-            [" ".join(_html.unescape(s).split()) if s is not None else None
-             for s in col.to_pylist()],
-            type=pa.string(),
-        )
-        if self.out_col in batch.schema.names:
-            batch = batch.drop_columns([self.out_col])
-        return batch.append_column(self.out_col, texts)
-
     def __call__(self, batch: "pa.Table") -> "pa.Table":
-        if self.use_arrow:
-            return self._call_arrow(batch)
         texts = pa.array(
             [self._one(x) for x in batch[self.in_col].to_pylist()], type=pa.string()
         )

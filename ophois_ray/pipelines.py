@@ -253,7 +253,7 @@ def flagship(sf_dir: str, *, res: int = 11, ring: int = 1,
     ewc = build_graph_auto(osm_dir, local_cap_bytes=local_cap_bytes)
     pg = pages_from_documents(sf_dir)
     pg = pages.dedup_pages(pg, key_source=page_keys_from_documents(sf_dir))
-    pg = pages.extract_text(pg, concurrency=4)  # re-extract (P6)
+    pg = pages.extract_text(pg)  # re-extract (P6)
     pg = pages.filter_geotagged(pages.geotag(pg)).select_columns(["url", "lat", "lon"])
     snapped, lineage = spatial.knn_snap_broadcast(pg, ewc, res=res, ring=ring)
     return snapped

@@ -10,7 +10,7 @@ Scale design (100 TB side):
 - The polygon set is the SMALL side: built once on the driver into
   flat numpy arrays (edges in CSR by polygon + a sorted cell->polygon
   prefilter table), shipped via ``ray.put`` once and cached per worker
-  process (`_fetch_cached` pattern, same as spatial._INDEX_CACHE) —
+  process (`pages._fetch_cached`, as the kNN snap's edge CSR) —
   the big point table streams through stateless fused map tasks with
   ZERO shuffle.
 - Candidate pruning is cell-granular: each polygon's bbox is covered

@@ -2,13 +2,25 @@
 (north rule: point-in-cell assignment, k-ring kNN snap, hash-partitioned
 cell-to-cell joins with explicit skew-aware repartitioning of hot cells).
 
-Join shape: both sides are mapped to cell keys (pages: the point's
-cell expanded to its k-ring; edges: every cell the segment covers,
-padded), unioned with a side tag and co-grouped on the salted cell key;
-the per-group kernel computes vectorized point-to-segment distances
-(numpy outer product per cell) and emits per-page candidates; a final
-groupby(url) keeps the global top-k. Two shuffles total, both keyed on
-bounded-size keys.
+Nearest-edge kernel (one for both rungs): the edges are held in a CSR
+(``_EdgeCSR``) of key -> edge ids over a distinct edge table sorted by
+(u, v), so the integer edge id IS the (u, v) tie-break. A batch of page
+rows gathers its (page row, edge id) candidate pairs with one ragged
+``pairs(query_keys)`` call, scores them by planar sqdist and keeps the
+k nearest distinct edges per page with one lexsort (``_top_k``);
+``_snap_rows`` builds the output rows.
+
+- Broadcast rung (``knn_snap_broadcast``): the CSR is keyed by the cells
+  each edge covers, built once on the driver and broadcast; every page
+  batch queries it with the k-ring of its cells — zero shuffle.
+- Partitioned rung (``knn_snap``): both sides are mapped to salted cell
+  keys (pages: the point's cell expanded to its k-ring; edges: every
+  cell the segment covers), unioned with a side tag and hash-partitioned
+  on the key; each bucket builds one CSR over its deduplicated edge rows
+  and queries it with its page rows' keys (no per-cell loop). A second
+  partition on url then ranks each url's candidates by (sqdist, u, v) in
+  one vectorized pass. Two shuffles total, both keyed on bounded-size
+  keys.
 
 Distance kernel: planar point-to-segment in lon/lat space
 (geo.point_segment_sqdist — consistent with the reference's planar
@@ -39,6 +51,7 @@ from . import cells, geo
 from .joins import stable_hash
 
 _PAGE_SIDE, _EDGE_SIDE = 0, 1
+_EDGE_COLS = ["u", "v", "u_lat", "u_lon", "v_lat", "v_lon"]
 
 
 def assign_cells(ds, res: int, lat_col: str = "lat", lon_col: str = "lon", out_col: str = "cell"):
@@ -75,6 +88,8 @@ def page_cell_counts(pages_with_cell):
 def plan_salts(cell_counts_df: pd.DataFrame, hot_threshold: int) -> dict[int, int]:
     """cell -> number of salt partitions (1 = not hot). Lineage-logged."""
     plan = {}
+    if cell_counts_df.empty:  # a 0-row Dataset's to_pandas() has no columns
+        return plan
     for cell, n in zip(cell_counts_df["cell"], cell_counts_df["n_pages"]):
         k = max(1, int(np.ceil(n / hot_threshold)))
         if k > 1:
@@ -84,6 +99,92 @@ def plan_salts(cell_counts_df: pd.DataFrame, hot_threshold: int) -> dict[int, in
 
 _SALT_BITS = 6  # up to 64 salt partitions per cell
 _SALT_MAX = 1 << _SALT_BITS
+#: edge rows above which knn_snap_broadcast refuses to broadcast
+_BROADCAST_EDGE_CAP = 20_000_000
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True where a sorted array starts a new run of equal values."""
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = a[1:] != a[:-1]
+    return new
+
+
+def _distinct_edges(df: pd.DataFrame):
+    """(row -> edge id, distinct edge table) over the ``_EDGE_COLS`` of
+    ``df``; ids follow (u, v) order (then coordinates), so the integer
+    edge id is the (u, v) tie-break."""
+    eid = df.groupby(_EDGE_COLS, sort=True, dropna=False).ngroup().to_numpy(np.int64)
+    return eid, df.iloc[np.unique(eid, return_index=True)[1]]
+
+
+class _EdgeCSR:
+    """CSR of key -> edge ids over a distinct edge table sorted by (u, v),
+    plus that table's columns. ``keys[i]`` is a key under which edge
+    ``edge_idx[i]`` is found (a covered cell, or a salted cell key);
+    repeated (key, edge) pairs are dropped."""
+
+    def __init__(self, keys: np.ndarray, edge_idx: np.ndarray, edges: pd.DataFrame):
+        order = np.lexsort((edge_idx, keys))
+        keys, edge_idx = keys[order], edge_idx[order]
+        keep = _run_starts(keys) | _run_starts(edge_idx)
+        keys, self.edge_idx = keys[keep], edge_idx[keep]
+        self.keys, starts = np.unique(keys, return_index=True)
+        self.indptr = np.append(starts, len(keys))
+        self.u = edges["u"].to_numpy(object)
+        self.v = edges["v"].to_numpy(object)
+        self.alat, self.alon, self.blat, self.blon = (
+            edges[c].to_numpy(np.float64) for c in _EDGE_COLS[2:])
+
+    def pairs(self, query_keys: np.ndarray):
+        """(query_row, edge_idx): every edge under each query key, gathered
+        without a Python loop."""
+        pos = np.searchsorted(self.keys, query_keys)
+        hit = pos < len(self.keys)
+        hit[hit] = self.keys[pos[hit]] == query_keys[hit]
+        pos = pos[hit]
+        counts = self.indptr[pos + 1] - self.indptr[pos]
+        edge_pos = np.repeat(self.indptr[pos], counts) + cells.ragged_arange(counts)
+        return np.repeat(np.flatnonzero(hit), counts), self.edge_idx[edge_pos]
+
+
+def _top_k(row: np.ndarray, edge_idx: np.ndarray, sqdist: np.ndarray, k: int):
+    """(index, rank) of the k nearest distinct edges of every row, in
+    (row, sqdist, edge_idx) order: ties on sqdist go to the smaller edge
+    id, and a repeated (row, edge) pair counts once."""
+    order = np.lexsort((edge_idx, sqdist, row))
+    new_row = _run_starts(row[order])
+    keep = new_row | _run_starts(edge_idx[order])
+    order, new_row = order[keep], new_row[keep]
+    pos = np.arange(len(order))
+    rank = pos - np.maximum.accumulate(np.where(new_row, pos, 0))
+    return order[rank < k], rank[rank < k]
+
+
+def _snap_rows(csr: _EdgeCSR, url, lat, lon, cell, rows, keys, k: int) -> pd.DataFrame:
+    """The snap output (url, lat, lon, cell, u, v, sqdist, dist_m, rank):
+    each page row's k nearest edges among those ``csr`` holds under its
+    query keys (``keys[i]`` is a query key of page row ``rows[i]``)."""
+    q, e = csr.pairs(keys)
+    r = rows[q]
+    plat, plon = lat[r], lon[r]
+    clat, clon = geo.closest_point(plat, plon, csr.alat[e], csr.alon[e], csr.blat[e], csr.blon[e])
+    sq = geo.planar_sqdist(plat, plon, clat, clon)  # == geo.point_segment_sqdist
+    sel, rank = _top_k(r, e, sq, k)
+    r, e, plat, plon = r[sel], e[sel], plat[sel], plon[sel]
+    return pd.DataFrame(
+        {
+            "url": url[r],
+            "lat": plat,
+            "lon": plon,
+            "cell": cell[r],
+            "u": csr.u[e],
+            "v": csr.v[e],
+            "sqdist": sq[sel],
+            "dist_m": geo.haversine_m(plat, plon, clat[sel], clon[sel]),
+            "rank": rank,
+        }
+    )
 
 
 def knn_snap(
@@ -94,7 +195,6 @@ def knn_snap(
     k: int = 1,
     ring: int = 1,
     hot_threshold: int = 50_000,
-    num_salts_cap: int = _SALT_MAX,
 ):
     """Snap every page to its k nearest street edges via cell co-grouping.
 
@@ -102,16 +202,16 @@ def knn_snap(
     edges_with_coords: Dataset with u, v, u_lat, u_lon, v_lat, v_lon.
 
     Returns (result_ds, lineage) where result_ds has columns
-    (url, lat, lon, cell, u, v, dist_m, rank) — rank 0 = nearest,
-    deterministic tiebreak (sqdist, u, v) — and lineage is a dict with
-    the salting plan and parameters.
+    (url, lat, lon, cell, u, v, sqdist, dist_m, rank) — rank 0 =
+    nearest, deterministic tiebreak (sqdist, u, v) — and lineage is a
+    dict with the salting plan and parameters.
     """
     pages_c = assign_cells(pages, res)
 
     counts = page_cell_counts(pages_c).to_pandas()
     salt_plan = plan_salts(counts, hot_threshold)
-    if any(v > num_salts_cap for v in salt_plan.values()):
-        raise ValueError(f"salt fan-out exceeds cap {num_salts_cap}; raise hot_threshold or res")
+    if any(v > _SALT_MAX for v in salt_plan.values()):
+        raise ValueError(f"salt fan-out exceeds cap {_SALT_MAX}; raise hot_threshold or res")
     lineage = {
         "res": res,
         "ring": ring,
@@ -131,9 +231,6 @@ def knn_snap(
         cell_arr = df["cell"].to_numpy()
         rows, ring_cells = cells.k_ring_many(cell_arr, ring)
         url = df["url"].to_numpy(object)[rows]
-        lat = df["lat"].to_numpy()[rows]
-        lon = df["lon"].to_numpy()[rows]
-        home = cell_arr[rows]
         salts = np.zeros(len(rows), dtype=np.int64)
         if plan:
             h = stable_hash(url)
@@ -146,15 +243,15 @@ def knn_snap(
                 "key": ring_cells * _SALT_MAX + salts,
                 "side": _PAGE_SIDE,
                 "url": url,
-                "plat": lat,
-                "plon": lon,
-                "home_cell": home,
+                "lat": df["lat"].to_numpy()[rows],
+                "lon": df["lon"].to_numpy()[rows],
+                "cell": cell_arr[rows],
                 "u": "",
                 "v": "",
-                "alat": np.nan,
-                "alon": np.nan,
-                "blat": np.nan,
-                "blon": np.nan,
+                "u_lat": np.nan,
+                "u_lon": np.nan,
+                "v_lat": np.nan,
+                "v_lon": np.nan,
             }
         )
 
@@ -166,33 +263,23 @@ def knn_snap(
             df["v_lat"].to_numpy(), df["v_lon"].to_numpy(),
             res,
         )
-        u = df["u"].to_numpy(object)[ei]
-        v = df["v"].to_numpy(object)[ei]
-        alat = df["u_lat"].to_numpy()[ei]
-        alon = df["u_lon"].to_numpy()[ei]
-        blat = df["v_lat"].to_numpy()[ei]
-        blon = df["v_lon"].to_numpy()[ei]
         # replicate per salt for hot cells
         reps = np.ones(len(ce), dtype=np.int64)
-        if plan:
-            for c, s in plan.items():
-                reps[ce == c] = s
-        ridx = np.repeat(np.arange(len(ce)), reps)
-        salt = np.concatenate([np.arange(r) for r in reps]) if len(reps) else np.array([], dtype=np.int64)
+        for c, s in plan.items():
+            reps[ce == c] = s
+        rep = np.repeat(np.arange(len(ce)), reps)
+        src = ei[rep]
         return pd.DataFrame(
             {
-                "key": ce[ridx] * _SALT_MAX + salt,
+                "key": ce[rep] * _SALT_MAX + cells.ragged_arange(reps),
                 "side": _EDGE_SIDE,
                 "url": "",
-                "plat": np.nan,
-                "plon": np.nan,
-                "home_cell": np.int64(0),
-                "u": u[ridx],
-                "v": v[ridx],
-                "alat": alat[ridx],
-                "alon": alon[ridx],
-                "blat": blat[ridx],
-                "blon": blon[ridx],
+                "lat": np.nan,
+                "lon": np.nan,
+                "cell": np.int64(0),
+                "u": df["u"].to_numpy(object)[src],
+                "v": df["v"].to_numpy(object)[src],
+                **{c: df[c].to_numpy()[src] for c in _EDGE_COLS[2:]},
             }
         )
 
@@ -200,386 +287,72 @@ def knn_snap(
         edges_with_coords.map_batches(expand_edges, batch_format="pandas")
     )
 
-    def per_cell(group: pd.DataFrame) -> pd.DataFrame:
-        pg = group[group["side"] == _PAGE_SIDE]
-        # sort edges by (u, v) so the COLUMN INDEX is the tiebreak rank:
-        # a stable row-wise argsort on sqdist then resolves equal
-        # distances to the smaller (u, v) — candidates tied at the k-th
-        # boundary are truncated deterministically (argpartition resolved
-        # such ties by block-arrival order)
-        eg = (
-            group[group["side"] == _EDGE_SIDE]
-            .drop_duplicates(subset=["u", "v"])
-            .sort_values(["u", "v"], kind="stable")
+    def snap_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        """Each page row's k nearest edges among the edge rows of its key."""
+        page = df["side"].to_numpy() == _PAGE_SIDE
+        pg = df[page]
+        pkeys = pg["key"].to_numpy(np.int64)
+        eg = df[~page]
+        eg = eg[np.isin(eg["key"].to_numpy(np.int64), pkeys)]
+        eid, edges = _distinct_edges(eg)
+        csr = _EdgeCSR(eg["key"].to_numpy(np.int64), eid, edges)
+        return _snap_rows(
+            csr, pg["url"].to_numpy(object), pg["lat"].to_numpy(np.float64),
+            pg["lon"].to_numpy(np.float64), pg["cell"].to_numpy(np.int64),
+            np.arange(len(pg)), pkeys, k,
         )
-        if len(pg) == 0 or len(eg) == 0:
-            return _empty_candidates()
-        plat = pg["plat"].to_numpy()[:, None]
-        plon = pg["plon"].to_numpy()[:, None]
-        alat = eg["alat"].to_numpy()[None, :]
-        alon = eg["alon"].to_numpy()[None, :]
-        blat = eg["blat"].to_numpy()[None, :]
-        blon = eg["blon"].to_numpy()[None, :]
-        sq = geo.point_segment_sqdist(plat, plon, alat, alon, blat, blon)
-        kk = min(k, sq.shape[1])
-        part = np.argsort(sq, axis=1, kind="stable")[:, :kk]
-        rows = np.repeat(np.arange(sq.shape[0]), kk)
-        cols = part.ravel()
-        return pd.DataFrame(
-            {
-                "url": pg["url"].to_numpy(object)[rows],
-                "plat": pg["plat"].to_numpy()[rows],
-                "plon": pg["plon"].to_numpy()[rows],
-                "home_cell": pg["home_cell"].to_numpy()[rows],
-                "u": eg["u"].to_numpy(object)[cols],
-                "v": eg["v"].to_numpy(object)[cols],
-                "sqdist": sq[rows, cols],
-                "alat": eg["alat"].to_numpy()[cols],
-                "alon": eg["alon"].to_numpy()[cols],
-                "blat": eg["blat"].to_numpy()[cols],
-                "blon": eg["blon"].to_numpy()[cols],
-            }
-        )
+
+    def rank_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        """Global top-k per url over its candidates from every key."""
+        url = pd.factorize(df["url"])[0]
+        sq = df["sqdist"].to_numpy(np.float64)
+        # numeric sort first: only rows in a url's first k sqdist runs
+        # can rank < k, so the object (u, v) tie-break sees just those
+        order = np.lexsort((sq, url))
+        new_url = _run_starts(url[order])
+        run = np.cumsum(new_url | _run_starts(sq[order]))
+        cand = order[run - run[new_url][np.cumsum(new_url) - 1] < k]
+        d = df.iloc[cand]
+        cu = pd.factorize(d["u"], sort=True)[0]
+        cv = pd.factorize(d["v"], sort=True)[0]
+        sel, rank = _top_k(url[cand], cu * len(cv) + cv, sq[cand], k)
+        d = d.iloc[sel].reset_index(drop=True)
+        d["rank"] = rank
+        return d
 
     from .joins import grouped_apply
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        outs = [per_cell(g) for _, g in df.groupby("key", sort=False)]
-        return pd.concat(outs, ignore_index=True) if outs else _empty_candidates()
-
-    candidates = grouped_apply(tagged, "key", per_bucket, num_buckets=64)
-
-    if k == 1:
-        result = _nearest_packmin(candidates)
-        return result, lineage
-
-    def topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop_duplicates(subset=["u", "v"])
-        order = np.lexsort(
-            (g["v"].to_numpy(object), g["u"].to_numpy(object), g["sqdist"].to_numpy())
-        )[:k]
-        g = g.iloc[order]
-        # closest point on segment -> haversine metres
-        plat = g["plat"].to_numpy()
-        plon = g["plon"].to_numpy()
-        dlat = g["blat"].to_numpy() - g["alat"].to_numpy()
-        dlon = g["blon"].to_numpy() - g["alon"].to_numpy()
-        seg_sq = dlat * dlat + dlon * dlon
-        num = (plat - g["alat"].to_numpy()) * dlat + (plon - g["alon"].to_numpy()) * dlon
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(seg_sq > 0, num / np.where(seg_sq > 0, seg_sq, 1.0), 0.0)
-        t = np.clip(t, 0.0, 1.0)
-        clat = g["alat"].to_numpy() + t * dlat
-        clon = g["alon"].to_numpy() + t * dlon
-        dist_m = geo.haversine_m(plat, plon, clat, clon)
-        return pd.DataFrame(
-            {
-                "url": g["url"].to_numpy(object),
-                "lat": plat,
-                "lon": plon,
-                "cell": g["home_cell"].to_numpy(),
-                "u": g["u"].to_numpy(object),
-                "v": g["v"].to_numpy(object),
-                "sqdist": g["sqdist"].to_numpy(),
-                "dist_m": np.asarray(dist_m, dtype=np.float64).reshape(-1),
-                "rank": np.arange(len(g), dtype=np.int64),
-            }
-        )
-
-    def topk_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        outs = [topk(g) for _, g in df.groupby("url", sort=False)]
-        return pd.concat(outs, ignore_index=True) if outs else topk(df.head(0))
-
-    result = grouped_apply(candidates, "url", topk_bucket, num_buckets=64)
+    candidates = grouped_apply(tagged, "key", snap_bucket, num_buckets=64)
+    result = grouped_apply(candidates, "url", rank_bucket, num_buckets=64)
     return result, lineage
 
 
-def _nearest_packmin(candidates):
-    """k=1 fast path: global nearest per url, loop-free.
-
-    Each hash bucket (all candidates of a url land in one bucket) is
-    reduced with a NUMERIC lexsort — (factorized url code, sqdist) — so
-    the hot path never compares object arrays; only rows exactly tied
-    with their url's minimum sqdist (duplicate coordinates) go through
-    an object (u, v) tiebreak, and only those rows. Replaces the former
-    per-candidate f-string pack (a Python loop over hundreds of millions
-    of candidates at bench scale)."""
-    from .joins import grouped_apply
-
-    def winner_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return _final_empty()
-        codes, _ = pd.factorize(df["url"], sort=False)
-        sq = df["sqdist"].to_numpy(np.float64)
-        order = np.lexsort((sq, codes))
-        d = df.iloc[order]
-        c = codes[order]
-        sq_s = sq[order]
-        first = np.ones(len(d), dtype=bool)
-        first[1:] = c[1:] != c[:-1]
-        grp_of = np.cumsum(first) - 1
-        min_sq = sq_s[first]
-        tied = sq_s == min_sq[grp_of]
-        d2 = d[tied]
-        g2 = grp_of[tied]
-        if len(d2) > len(min_sq):  # some url has >1 row at its min sqdist
-            order2 = np.lexsort(
-                (d2["v"].to_numpy(object), d2["u"].to_numpy(object), g2)
-            )
-            d2 = d2.iloc[order2]
-            g2 = g2[order2]
-        keep = np.ones(len(d2), dtype=bool)
-        keep[1:] = g2[1:] != g2[:-1]
-        win = d2[keep]
-        plat = win["plat"].to_numpy(np.float64)
-        plon = win["plon"].to_numpy(np.float64)
-        alat = win["alat"].to_numpy(np.float64)
-        alon = win["alon"].to_numpy(np.float64)
-        blat = win["blat"].to_numpy(np.float64)
-        blon = win["blon"].to_numpy(np.float64)
-        dlat = blat - alat
-        dlon = blon - alon
-        seg_sq = dlat * dlat + dlon * dlon
-        num = (plat - alat) * dlat + (plon - alon) * dlon
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(seg_sq > 0, num / np.where(seg_sq > 0, seg_sq, 1.0), 0.0)
-        t = np.clip(t, 0.0, 1.0)
-        dist_m = geo.haversine_m(plat, plon, alat + t * dlat, alon + t * dlon)
-        return pd.DataFrame(
-            {
-                "url": win["url"].to_numpy(object),
-                "lat": plat,
-                "lon": plon,
-                "cell": win["home_cell"].to_numpy(np.int64),
-                "u": win["u"].to_numpy(object),
-                "v": win["v"].to_numpy(object),
-                "sqdist": win["sqdist"].to_numpy(np.float64),
-                "dist_m": np.asarray(dist_m, dtype=np.float64).reshape(-1),
-                "rank": np.int64(0),
-            }
-        )
-
-    return grouped_apply(candidates, "url", winner_bucket, num_buckets=64)
-
-
-def _final_empty() -> pd.DataFrame:
-    return pd.DataFrame(
-        {c: pd.Series(dtype=t) for c, t in [
-            ("url", object), ("lat", np.float64), ("lon", np.float64),
-            ("cell", np.int64), ("u", object), ("v", object),
-            ("sqdist", np.float64), ("dist_m", np.float64), ("rank", np.int64)]}
-    )
-
-
-def _empty_candidates() -> pd.DataFrame:
-    return pd.DataFrame(
-        {
-            "url": pd.Series(dtype=object),
-            "plat": pd.Series(dtype=np.float64),
-            "plon": pd.Series(dtype=np.float64),
-            "home_cell": pd.Series(dtype=np.int64),
-            "u": pd.Series(dtype=object),
-            "v": pd.Series(dtype=object),
-            "sqdist": pd.Series(dtype=np.float64),
-            "alat": pd.Series(dtype=np.float64),
-            "alon": pd.Series(dtype=np.float64),
-            "blat": pd.Series(dtype=np.float64),
-            "blon": pd.Series(dtype=np.float64),
-        }
-    )
-
-
-class _CellEdgeIndex:
-    """CSR index: cell id -> the edges covering it, plus edge coords.
-
-    Built once on the driver from the (small) edge table, shared via the
-    object store; every page batch answers k-ring candidate lookups with
-    two searchsorted calls — zero shuffle.
-    """
-
-    def __init__(self, edges_df: pd.DataFrame, res: int):
-        # sort edges by (u, v) so integer edge rank == lexicographic
-        # tiebreak order (keeps the hot loop free of object-array sorts)
-        edges_df = edges_df.sort_values(["u", "v"], kind="stable").reset_index(drop=True)
-        ei, ce = cells.cells_covering_segment(
-            edges_df["u_lat"].to_numpy(), edges_df["u_lon"].to_numpy(),
-            edges_df["v_lat"].to_numpy(), edges_df["v_lon"].to_numpy(),
-            res,
-        )
-        order = np.argsort(ce, kind="stable")
-        self.cells_sorted = ce[order]
-        self.edge_idx = ei[order]
-        # unique cells + CSR offsets
-        self.ucells, starts = np.unique(self.cells_sorted, return_index=True)
-        self.starts = starts
-        self.ends = np.append(starts[1:], len(self.cells_sorted))
-        self.u = edges_df["u"].to_numpy(object)
-        self.v = edges_df["v"].to_numpy(object)
-        self.alat = edges_df["u_lat"].to_numpy(np.float64)
-        self.alon = edges_df["u_lon"].to_numpy(np.float64)
-        self.blat = edges_df["v_lat"].to_numpy(np.float64)
-        self.blon = edges_df["v_lon"].to_numpy(np.float64)
-        self.res = res
-
-    def candidates(self, page_cells: np.ndarray, ring: int):
-        """(page_row, edge_idx) candidate pairs for each page's k-ring.
-
-        Vectorized over ring OFFSETS ((2r+1)^2 searchsorted passes), not
-        over pages. Pairs may repeat when an edge covers several ring
-        cells of the same page; callers dedup via min-reduction anyway.
-        """
-        res, ix, iy = cells.decode(page_cells)
-        n = (np.int64(1) << res)
-        rows_out = []
-        edges_out = []
-        for dy in range(-ring, ring + 1):
-            for dx in range(-ring, ring + 1):
-                x = (ix + dx) % n
-                y = iy + dy
-                ok = (y >= 0) & (y < n)
-                qcells = cells.encode(res[ok], x[ok], y[ok])
-                rows = np.flatnonzero(ok)
-                pos = np.searchsorted(self.ucells, qcells)
-                pos_c = np.minimum(pos, max(len(self.ucells) - 1, 0))
-                hit = (
-                    (self.ucells[pos_c] == qcells)
-                    if len(self.ucells)
-                    else np.zeros(len(qcells), dtype=bool)
-                )
-                if not hit.any():
-                    continue
-                h_rows = rows[hit]
-                s = self.starts[pos_c[hit]]
-                e = self.ends[pos_c[hit]]
-                counts = e - s
-                pr = np.repeat(h_rows, counts)
-                # ragged gather of slices [s_i, e_i) without a Python loop
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                base = np.repeat(s, counts)
-                local = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-                rows_out.append(pr)
-                edges_out.append(self.edge_idx[base + local])
-        if not rows_out:
-            return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-        return np.concatenate(rows_out), np.concatenate(edges_out)
-
-
-#: per-worker-process cache of fetched CellEdgeIndex objects, keyed by
-#: ObjectRef hex — Ray reuses worker processes across tasks, so each
-#: worker pays the (already zero-copy-ish local) fetch once while the
-#: stage scales as elastic stateless tasks with no pool cold-start.
-_INDEX_CACHE: dict = {}
-
-
-def _get_index(index_ref):
-    import ray
-
-    if not isinstance(index_ref, ray.ObjectRef):
-        return index_ref
-    key = index_ref.hex()
-    if key not in _INDEX_CACHE:
-        _INDEX_CACHE[key] = ray.get(index_ref)
-    return _INDEX_CACHE[key]
-
-
-class _BroadcastSnapper:
-    """Snap kernel for the broadcast kNN path (k=1); used as a stateless
-    map_batches function via functools.partial (see knn_snap_broadcast)."""
-
-    def __init__(self, index_ref, ring: int, res: int):
-        self.idx = _get_index(index_ref)
-        self.ring = ring
-        self.res = res
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        idx = self.idx
-        plat = df["lat"].to_numpy(np.float64)
-        plon = df["lon"].to_numpy(np.float64)
-        pcells = cells.cell_of(plat, plon, self.res)
-        rows, eidx = idx.candidates(pcells, self.ring)
-        if len(rows) == 0:
-            return _empty_snap()
-        sq = geo.point_segment_sqdist(
-            plat[rows], plon[rows],
-            idx.alat[eidx], idx.alon[eidx], idx.blat[eidx], idx.blon[eidx],
-        )
-        # per-page min with deterministic (sqdist, u, v) tiebreak: edges
-        # are pre-sorted by (u, v) so the integer index IS the tiebreak
-        order = np.lexsort((eidx, sq, rows))
-        r_s, e_s, sq_s = rows[order], eidx[order], sq[order]
-        first = np.ones(len(r_s), dtype=bool)
-        first[1:] = r_s[1:] != r_s[:-1]
-        r_f, e_f, sq_f = r_s[first], e_s[first], sq_s[first]
-        # closest point -> haversine metres
-        alat, alon = idx.alat[e_f], idx.alon[e_f]
-        blat, blon = idx.blat[e_f], idx.blon[e_f]
-        dlat, dlon = blat - alat, blon - alon
-        seg_sq = dlat * dlat + dlon * dlon
-        num = (plat[r_f] - alat) * dlat + (plon[r_f] - alon) * dlon
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(seg_sq > 0, num / np.where(seg_sq > 0, seg_sq, 1.0), 0.0)
-        t = np.clip(t, 0.0, 1.0)
-        dist_m = geo.haversine_m(plat[r_f], plon[r_f], alat + t * dlat, alon + t * dlon)
-        return pd.DataFrame(
-            {
-                "url": df["url"].to_numpy(object)[r_f],
-                "lat": plat[r_f],
-                "lon": plon[r_f],
-                "cell": pcells[r_f],
-                "u": idx.u[e_f],
-                "v": idx.v[e_f],
-                "sqdist": sq_f,
-                "dist_m": np.asarray(dist_m, dtype=np.float64).reshape(-1),
-                "rank": np.int64(0),
-            }
-        )
-
-
-def _empty_snap() -> pd.DataFrame:
-    return pd.DataFrame(
-        {
-            "url": pd.Series(dtype=object), "lat": pd.Series(dtype=np.float64),
-            "lon": pd.Series(dtype=np.float64), "cell": pd.Series(dtype=np.int64),
-            "u": pd.Series(dtype=object), "v": pd.Series(dtype=object),
-            "sqdist": pd.Series(dtype=np.float64), "dist_m": pd.Series(dtype=np.float64),
-            "rank": pd.Series(dtype=np.int64),
-        }
-    )
-
-
-def knn_snap_broadcast(
-    pages,
-    edges_with_coords,
-    *,
-    res: int,
-    ring: int = 1,
-    batch_size: int | None = None,
-    edge_cap: int = 20_000_000,
-):
+def knn_snap_broadcast(pages, edges_with_coords, *, res: int, ring: int = 1):
     """Zero-shuffle nearest-edge snap: the edge table (the small side of
     a pages x street-graph join at any realistic scale — bounded per
-    tile) is built into a broadcast cell->edges CSR index; each page
-    batch resolves its k-ring candidates with vectorized searchsorted
-    and reduces to the nearest edge in-batch. Same semantics as
-    knn_snap(k=1); use knn_snap when the edge side exceeds ``edge_cap``.
+    tile) is built into a broadcast cell->edges CSR; each page batch
+    gathers its k-ring candidates from it and reduces to the nearest
+    edge in-batch. Same semantics as knn_snap(k=1); use knn_snap when
+    the edge side exceeds ``_BROADCAST_EDGE_CAP`` rows.
 
     Returns (result_ds, lineage).
     """
     if isinstance(edges_with_coords, pd.DataFrame):
-        edges_df = edges_with_coords[["u", "v", "u_lat", "u_lon", "v_lat", "v_lon"]]
+        edges_df = edges_with_coords[_EDGE_COLS]
     else:
         from .joins import _dataset_to_table
 
-        edges_df = _dataset_to_table(
-            edges_with_coords, ["u", "v", "u_lat", "u_lon", "v_lat", "v_lon"]
-        ).to_pandas()
-    if len(edges_df) > edge_cap:
-        raise ValueError(f"edge side {len(edges_df)} > cap {edge_cap}; use knn_snap")
-    index = _CellEdgeIndex(edges_df, res)
+        edges_df = _dataset_to_table(edges_with_coords, _EDGE_COLS).to_pandas()
+    if len(edges_df) > _BROADCAST_EDGE_CAP:
+        raise ValueError(f"edge side {len(edges_df)} > cap {_BROADCAST_EDGE_CAP}; use knn_snap")
+    _, edges = _distinct_edges(edges_df)
+    ei, ce = cells.cells_covering_segment(
+        *(edges[c].to_numpy() for c in _EDGE_COLS[2:]), res)
     import ray
 
+    from .pages import _fetch_cached
+
+    index = _EdgeCSR(ce, ei, edges)
     ref = ray.put(index)
     lineage = {
         "res": res,
@@ -587,17 +360,21 @@ def knn_snap_broadcast(
         "k": 1,
         "strategy": "broadcast",
         "n_edges": int(len(edges_df)),
-        "n_edge_cells": int(len(index.ucells)),
+        "n_edge_cells": int(len(index.keys)),
     }
-    def snap_batch(df: pd.DataFrame) -> pd.DataFrame:
-        return _BroadcastSnapper(ref, ring, res)(df)
 
-    # batch_size stays None unless the caller forces it: an explicit
-    # batch_size anywhere in the task chain poisons Read->Map fusion
-    # (the html table would round-trip the object store — measured).
-    kw = {"batch_size": batch_size} if batch_size is not None else {}
-    result = pages.map_batches(snap_batch, batch_format="pandas", **kw)
-    return result, lineage
+    def snap_batch(df: pd.DataFrame) -> pd.DataFrame:
+        lat = df["lat"].to_numpy(np.float64)
+        lon = df["lon"].to_numpy(np.float64)
+        pcells = cells.cell_of(lat, lon, res)
+        rows, ring_cells = cells.k_ring_many(pcells, ring)
+        return _snap_rows(_fetch_cached(ref), df["url"].to_numpy(object), lat, lon,
+                          pcells, rows, ring_cells, 1)
+
+    # no batch_size: an explicit batch_size anywhere in the task chain
+    # poisons Read->Map fusion (the html table would round-trip the
+    # object store — measured)
+    return pages.map_batches(snap_batch, batch_format="pandas"), lineage
 
 
 def cell_join_counts(pages, res: int):

@@ -250,25 +250,24 @@ def test_dedup_pages_broadcast_runs_without_an_exchange(pages_ds, monkeypatch):
     assert len(deduped) == pages_ds.to_pandas()["url"].nunique()
 
 
-def _brute_force_nn(pg: pd.DataFrame, eg: pd.DataFrame) -> pd.DataFrame:
+def _brute_force_nn(pg: pd.DataFrame, eg: pd.DataFrame, k: int = 1) -> pd.DataFrame:
+    """Exact top-k edges per page with the (sqdist, u, v) tiebreak."""
+    eg = eg.drop_duplicates().sort_values(["u", "v"], kind="stable").reset_index(drop=True)
     sq = geo.point_segment_sqdist(
         pg["lat"].to_numpy()[:, None], pg["lon"].to_numpy()[:, None],
         eg["u_lat"].to_numpy()[None, :], eg["u_lon"].to_numpy()[None, :],
         eg["v_lat"].to_numpy()[None, :], eg["v_lon"].to_numpy()[None, :],
     )
-    # deterministic tiebreak (sqdist, u, v)
-    order = np.lexsort(
-        (eg["v"].to_numpy(object), eg["u"].to_numpy(object))
-    )
-    sq_ord = sq[:, order]
-    best = np.argmin(sq_ord, axis=1)  # first occurrence = smallest (u,v)
-    cols = order[best]
+    k = min(k, len(eg))
+    cols = np.argsort(sq, axis=1, kind="stable")[:, :k].ravel()  # ties keep (u, v) order
+    rows = np.repeat(np.arange(len(pg)), k)
     return pd.DataFrame(
         {
-            "url": pg["url"].to_numpy(object),
+            "url": pg["url"].to_numpy(object)[rows],
+            "rank": np.tile(np.arange(k), len(pg)),
             "u": eg["u"].to_numpy(object)[cols],
             "v": eg["v"].to_numpy(object)[cols],
-            "sqdist": sq[np.arange(len(pg)), cols],
+            "sqdist": sq[rows, cols],
         }
     )
 
@@ -368,8 +367,8 @@ def test_knn_broadcast_matches_shuffle(snap_inputs):
     a = s.to_pandas().sort_values("url").reset_index(drop=True)
     c = b2.to_pandas().sort_values("url").reset_index(drop=True)
     assert len(a) == len(c)
-    assert (a["u"].to_numpy() == c["u"].to_numpy()).all()
-    assert (a["sqdist"].to_numpy() == c["sqdist"].to_numpy()).all()
+    for col in ("url", "u", "v", "cell", "sqdist", "dist_m"):
+        assert (a[col].to_numpy() == c[col].to_numpy()).all(), col
 
 
 def test_knn_topk(snap_inputs):
@@ -379,6 +378,59 @@ def test_knn_topk(snap_inputs):
     one = got[got["url"] == got["url"].iloc[0]].sort_values("rank")
     assert list(one["rank"]) == [0, 1, 2]
     assert one["sqdist"].is_monotonic_increasing
+
+    # exact sqdist ties and a repeated edge row: the most popular nearest
+    # edge gets two same-coordinate twins (one sorting before it, one
+    # after; by v alone the order flips) and appears twice verbatim
+    pg = pg_ds.to_pandas()
+    hot = eg.index[eg["u"] == _brute_force_nn(pg, eg)["u"].value_counts().index[0]][0]
+    twins = eg.loc[[hot, hot]].assign(u=["a_twin", "z_twin"], v=["z", "a"])
+    eg2 = pd.concat([eg, twins, eg.loc[[hot]]], ignore_index=True)
+    eg2_ds = ray.data.from_pandas([eg2.iloc[: len(eg2) // 2], eg2.iloc[len(eg2) // 2:]])
+
+    def rows(ds):
+        df = ds.to_pandas().sort_values(["url", "rank"]).reset_index(drop=True)
+        return df[["url", "rank", "u", "v", "sqdist"]]
+
+    # res 5: one ring covers every edge, so knn_snap is the exact top-3
+    got, _ = spatial.knn_snap(pg_ds, eg2_ds, res=5, k=3, ring=1, hot_threshold=5000)
+    got = rows(got)
+    exp = _brute_force_nn(pg, eg2, 3).sort_values(["url", "rank"]).reset_index(drop=True)
+    assert not got.duplicated(["url", "u", "v"]).any()
+    assert (got.groupby("url")["sqdist"].nunique() < 3).any()  # ties reached the top 3
+    pd.testing.assert_frame_equal(got, exp)
+
+    # res 9: salting hot cells changes no row
+    salted, lin = spatial.knn_snap(pg_ds, eg2_ds, res=9, k=3, ring=1, hot_threshold=50)
+    assert len(lin["hot_cells"]) > 0
+    plain, _ = spatial.knn_snap(pg_ds, eg2_ds, res=9, k=3, ring=1, hot_threshold=10**9)
+    pd.testing.assert_frame_equal(rows(salted), rows(plain))
+
+
+def test_knn_rungs_on_empty_and_unmatched_inputs(snap_inputs):
+    """Both rungs on 0 pages, 0 edges, and pages with no edge in their
+    ring: no error, and only pages with a candidate get a row."""
+    pg_ds, eg_ds, eg = snap_inputs
+    pg = pg_ds.to_pandas()
+    no_pages = ray.data.from_pandas(pg.iloc[:0])
+    no_edges = ray.data.from_pandas(eg.iloc[:0])
+    far = pg.iloc[:50].assign(url=lambda d: "far-" + d["url"], lat=-40.5, lon=100.25)
+    mixed = ray.data.from_pandas([far, pg.iloc[:200]])
+
+    def both(pages_ds, edges_ds):
+        b, _ = spatial.knn_snap_broadcast(pages_ds, edges_ds, res=9, ring=1)
+        s, _ = spatial.knn_snap(pages_ds, edges_ds, res=9, k=1, ring=1, hot_threshold=50)
+        return b.materialize(), s.materialize()
+
+    for pages_ds, edges_ds in [(no_pages, eg_ds), (pg_ds, no_edges), (no_pages, no_edges)]:
+        b, s = both(pages_ds, edges_ds)
+        assert b.count() == 0 and s.count() == 0
+
+    b, s = both(mixed, eg_ds)
+    b = b.to_pandas().sort_values("url").reset_index(drop=True)
+    s = s.to_pandas().sort_values("url").reset_index(drop=True)
+    assert 0 < len(b) <= 200 and not b["url"].str.startswith("far-").any()
+    pd.testing.assert_frame_equal(b, s)
 
 
 def test_cell_join_counts(pages_ds):
