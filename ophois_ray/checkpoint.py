@@ -8,38 +8,57 @@ Layout:
     tile=<cell>/part-0.parquet
     tile=<cell>/_MANIFEST.json  durable per-tile completion marker
 
-Write protocol per tile (inside the distributed group task):
+Write path: one fused Arrow map appends each row's coarse tile and drops
+the rows of tiles already done; the driver collects the block refs (never
+the rows) and hands them straight to Ray writer tasks. One writer takes
+every block below ``_WRITER_TASK_BYTES``; above it, one split task per
+block routes rows by ``stable_hash(tile) % writers``, so every tile still
+lands whole in exactly one writer. A writer sorts its rows by (tile, every
+other column) — a total order, so a tile's bytes do not depend on block
+layout — and writes each tile's zero-copy slice.
+
+Write protocol per tile (inside its writer task):
   write parquet + the _MANIFEST.json marker (fingerprint, row counts,
-  wall time) to tile=<cell>.__tmp_<pid>/, fsync the marker, then promote
-  atomically: move any existing tile dir aside (os.replace to a unique
-  .__old suffix), os.replace the tmp dir into place, delete the old dir.
-  Because the marker travels INSIDE the renamed directory, a tile is
-  durably "done" the instant its task finishes — a driver kill at any
-  later point loses nothing. A retried/duplicate task re-promotes the
-  same content (idempotent).
+  wall time) to tile=<cell>.__tmp_<host>_<pid>_<rand>/, fsync the marker,
+  then promote atomically: move any existing tile dir aside (os.replace
+  to tile=<cell>.__old_<token>), os.replace the tmp dir into place (again
+  if a concurrent writer promoted the tile in between), delete the old
+  dir. Because the marker travels INSIDE the renamed directory, a tile is
+  durably "done" the instant it is promoted — a kill at any later point
+  loses nothing. A retried/duplicate writer re-promotes the same content
+  (idempotent).
 
 Resume = directory scan for tiles whose marker matches the input
 fingerprint (the markers, not the driver-appended manifest, are the
 source of truth — the manifest is lineage/metrics and is healed from
 markers on the next run). Anti-join of the tile work list against that
 set (driver-side set difference on the small tile list, SURVEY.md §2.8).
+Tmp/old dirs a killed writer left behind are swept on the next run: at
+once when the token names a dead process on this host, otherwise after a
+grace period (they may belong to a live concurrent writer elsewhere).
 """
 
 from __future__ import annotations
 
+import errno
 import glob
 import json
+import math
 import os
+import re
 import shutil
+import socket
 import time
 import uuid
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import cells
+from .joins import stable_hash
 
 _MARKER = "_MANIFEST.json"
 
@@ -112,22 +131,154 @@ def _newest_mtime(d: str) -> float:
         return 0.0
 
 
+def _writer_token() -> str:
+    """Suffix of a writer's tmp/old dirs: it names the writing process
+    (host, pid), so a later sweep can tell a dead writer's debris."""
+    return f"{socket.gethostname()}_{os.getpid()}_{uuid.uuid4().hex[:8]}"
+
+
+def _writer_dead(d: str) -> bool:
+    """True when the tmp/old dir ``d`` names a process on THIS host that
+    no longer runs. A dir from another host, or from a live pid, is not
+    known dead."""
+    m = re.search(r"\.__(?:tmp|old)_(.+)_(\d+)_[0-9a-f]{8}$", d)
+    if m is None or m.group(1) != socket.gethostname():
+        return False
+    try:
+        os.kill(int(m.group(2)), 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, owned by another user
+        pass
+    return False
+
+
 def _clean_stale_dirs(outdir: str, grace_s: float = 300.0) -> None:
     """Remove leftover tmp/old dirs from a killed run (driver-side, once).
 
-    Dirs whose newest inner mtime is younger than ``grace_s`` are left
-    alone: they may belong to a LIVE concurrent writer on the same
+    A dir whose writer is known dead (``_writer_dead``) goes at once.
+    Any other dir whose newest inner mtime is younger than ``grace_s``
+    is left alone: it may belong to a LIVE concurrent writer on the same
     outdir (two racing checkpointed_write calls are legal — promotion
     is atomic and idempotent; only this sweep could interfere). A
-    writer stalled with zero I/O progress for the whole grace window
-    is indistinguishable from a dead one — its task fails loudly on
-    the missing dir and Ray retries it."""
+    writer on another host stalled with zero I/O progress for the whole
+    grace window is indistinguishable from a dead one — its task fails
+    loudly on the missing dir and Ray retries it."""
     now = time.time()
     for pat in ("tile=*.__tmp_*", "tile=*.__old_*"):
         for d in glob.glob(os.path.join(outdir, pat)):
-            if now - _newest_mtime(d) < grace_s:
+            if not _writer_dead(d) and now - _newest_mtime(d) < grace_s:
                 continue
             shutil.rmtree(d, ignore_errors=True)
+
+
+#: object-store bytes of tiled rows one writer task takes; above it the
+#: blocks are split by tile hash over ceil(bytes / this) writers
+_WRITER_TASK_BYTES = 256 << 20
+
+
+def _tile_rows(t: pa.Table, cell_col: str, tile_res: int,
+               done: np.ndarray) -> pa.Table:
+    """The fused map: append ``__tile`` and drop the rows of done tiles."""
+    tile = cells.parent_to(t[cell_col].to_numpy(), tile_res)
+    t = t.append_column("__tile", pa.array(tile, type=pa.int64()))
+    if len(done):
+        t = t.filter(pa.array(~np.isin(tile, done)))
+    return t
+
+
+def _split_for_writers(t: pa.Table, writers: int) -> list:
+    """One block's schema, then its rows routed to ``writers`` tables by
+    tile hash."""
+    w = stable_hash(t["__tile"].to_numpy()) % np.uint64(writers)
+    return [t.schema] + [t.filter(pa.array(w == j)) for j in range(writers)]
+
+
+def _write_one_tile(outdir: str, tile: int, body: pa.Table,
+                    fingerprint: str, fail: set[int]) -> dict:
+    if tile in fail:
+        raise RuntimeError(f"injected failure for tile {tile}")
+    start = time.monotonic()
+    final_dir = os.path.join(outdir, f"tile={tile}")
+    tmp_dir = final_dir + f".__tmp_{_writer_token()}"
+    os.makedirs(tmp_dir, exist_ok=True)
+    pq.write_table(body, os.path.join(tmp_dir, "part-0.parquet"))
+    rec = {
+        "tile": tile,
+        "status": "done",
+        "rows_in": body.num_rows,
+        "rows_out": body.num_rows,
+        "input_fingerprint": fingerprint,
+        "wall_s": time.monotonic() - start,
+    }
+    with open(os.path.join(tmp_dir, _MARKER), "w", encoding="utf-8") as f:
+        json.dump(rec, f, sort_keys=True)
+        f.flush()
+        os.fsync(f.fileno())
+    # atomic promotion: move the old dir aside first (rename over a
+    # non-empty dir fails on POSIX), then rename tmp into place. A
+    # concurrent writer can promote the same tile between the two
+    # renames; then its dir goes aside too and the rename is retried
+    # (each retry follows another writer's completed promotion, so the
+    # loop ends)
+    asides = []
+    while True:
+        aside = final_dir + f".__old_{_writer_token()}"
+        try:
+            os.replace(final_dir, aside)
+            asides.append(aside)
+        except FileNotFoundError:
+            pass
+        try:
+            os.replace(tmp_dir, final_dir)
+            break
+        except OSError as e:
+            if e.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                raise
+    for aside in asides:
+        shutil.rmtree(aside, ignore_errors=True)
+    return rec
+
+
+def _write_tiles(outdir: str, fingerprint: str, fail: set[int],
+                 schema: pa.Schema | None, *tables: pa.Table) -> list[dict]:
+    """A writer task: every tile of ``tables`` written whole, in tile order.
+
+    ``schema`` (the split path's unified block schema) makes every writer
+    promote a column the same way, even one that saw only null blocks.
+    Rows are sorted by (tile, every other column) so a tile's rows come
+    out in one order whatever the block layout; columns of nested type
+    cannot be sort keys and only ride along."""
+    live = [t for t in tables if t.num_rows]
+    if not live:
+        return []
+    tbl = pa.concat_tables(live, promote_options="default")
+    if schema is not None:
+        tbl = tbl.select(schema.names).cast(schema)
+    tbl = tbl.replace_schema_metadata(None)
+    keys = ["__tile"] + [f.name for f in tbl.schema
+                         if f.name != "__tile" and not pa.types.is_nested(f.type)]
+    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[(k, "ascending") for k in keys]))
+    tiles = tbl["__tile"].to_numpy()
+    body = tbl.drop_columns(["__tile"])
+    bounds = np.flatnonzero(np.r_[True, tiles[1:] != tiles[:-1], True])
+    return [
+        _write_one_tile(outdir, int(tiles[a]), body.slice(a, b - a), fingerprint, fail)
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+_TASKS: dict = {}
+
+
+def _task(fn):
+    """``ray.remote(fn)``, created once per process (library code must
+    not touch Ray at import time)."""
+    import ray
+
+    if fn not in _TASKS:
+        _TASKS[fn] = ray.remote(fn)
+    return _TASKS[fn]
 
 
 def checkpointed_write(
@@ -142,15 +293,16 @@ def checkpointed_write(
     """Write ``ds`` partitioned by coarse tile (parent of ``cell_col`` at
     ``tile_res``), skipping tiles already durably completed for the same
     input fingerprint. Returns the list of manifest records written this
-    run (empty list = everything was already done).
+    run, in tile order (empty list = everything was already done).
 
     ``fail_tiles`` injects a failure before those tiles are written —
     the test hook for the kill/resume gate.
     """
+    import ray
+
     os.makedirs(outdir, exist_ok=True)
     _clean_stale_dirs(outdir)
     done_recs = scan_tiles(outdir, fingerprint)
-    done = set(done_recs)
 
     # Heal the lineage log: a killed run leaves durable markers that were
     # never appended to manifest.jsonl; record them now (status preserved,
@@ -164,65 +316,33 @@ def checkpointed_write(
     if orphans:
         append_manifest(outdir, orphans)
 
-    def add_tile(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__tile"] = cells.parent_to(df[cell_col].to_numpy(), tile_res)
-        return df
-
-    tiled = ds.map_batches(add_tile, batch_format="pandas")
-    if done:
-        done_arr = np.array(sorted(done), dtype=np.int64)
-
-        def skip_done(df: pd.DataFrame) -> pd.DataFrame:
-            return df[~np.isin(df["__tile"].to_numpy(), done_arr)]
-
-        tiled = tiled.map_batches(skip_done, batch_format="pandas")
-
-    fail = fail_tiles or set()
-
-    def write_tile(group: pd.DataFrame) -> pd.DataFrame:
-        tile = int(group["__tile"].iloc[0])
-        if tile in fail:
-            raise RuntimeError(f"injected failure for tile {tile}")
-        start = time.monotonic()
-        final_dir = os.path.join(outdir, f"tile={tile}")
-        token = uuid.uuid4().hex[:12]
-        tmp_dir = final_dir + f".__tmp_{token}"
-        os.makedirs(tmp_dir, exist_ok=True)
-        out = group.drop(columns=["__tile"]).sort_values(
-            list(group.columns.drop("__tile"))[:2]
-        )
-        tbl = pa.Table.from_pandas(out, preserve_index=False)
-        pq.write_table(tbl, os.path.join(tmp_dir, "part-0.parquet"))
-        rec = {
-            "tile": tile,
-            "status": "done",
-            "rows_in": len(group),
-            "rows_out": len(out),
-            "input_fingerprint": fingerprint,
-            "wall_s": time.monotonic() - start,
-        }
-        marker_path = os.path.join(tmp_dir, _MARKER)
-        with open(marker_path, "w", encoding="utf-8") as f:
-            json.dump(rec, f, sort_keys=True)
-            f.flush()
-            os.fsync(f.fileno())
-        # atomic promotion: move the old dir aside first (rename over a
-        # non-empty dir fails on POSIX), then rename tmp into place
-        aside = final_dir + f".__old_{token}"
-        try:
-            os.replace(final_dir, aside)
-        except FileNotFoundError:
-            aside = None
-        os.replace(tmp_dir, final_dir)
-        if aside is not None:
-            shutil.rmtree(aside, ignore_errors=True)
-        return pd.DataFrame([rec])
-
-    records_df = (
-        tiled.groupby("__tile").map_groups(write_tile, batch_format="pandas").to_pandas()
-    )
-    records = records_df.to_dict("records") if len(records_df) else []
+    # No exchange: a writer must hold each of its tiles whole, not sorted,
+    # so the driver passes block refs (never rows) straight to the writers.
+    done = np.array(sorted(done_recs), dtype=np.int64)
+    tiled = ds.map_batches(_tile_rows, batch_format="pyarrow",
+                           fn_kwargs={"cell_col": cell_col, "tile_res": tile_res,
+                                      "done": done})
+    refs, nbytes = [], 0
+    for bundle in tiled.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows != 0:
+                refs.append(ref)
+                nbytes += meta.size_bytes
+    records = []
+    if refs:
+        writers = math.ceil(nbytes / _WRITER_TASK_BYTES)
+        if writers <= 1:
+            schema, parts = None, [refs]
+        else:
+            split = _task(_split_for_writers).options(num_returns=writers + 1)
+            routed = [split.remote(ref, writers) for ref in refs]
+            schema = pa.unify_schemas(ray.get([r[0] for r in routed]),
+                                      promote_options="default")
+            parts = [[r[j + 1] for r in routed] for j in range(writers)]
+        write = _task(_write_tiles)
+        fail = set(fail_tiles or ())
+        out = ray.get([write.remote(outdir, fingerprint, fail, schema, *p) for p in parts])
+        records = sorted((r for recs in out for r in recs), key=lambda r: r["tile"])
     append_manifest(outdir, records)
     return records
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import html as _html
 import re
+from collections import OrderedDict
 
 import numpy as np
 import pandas as pd
@@ -184,9 +185,14 @@ def _ts_micros(ts_series: pd.Series) -> np.ndarray:
 
 _PACK_SEP = "\x01"
 
-#: per-worker cache of fetched broadcast objects (ray.get deserializes
-#: per call; caching by ref makes it once per worker process)
-_BCAST_CACHE: dict = {}
+#: broadcasts one worker process keeps; a fused pass-B + snap task
+#: touches three (winner, tie winner, edge CSR)
+_BCAST_CACHE_MAX = 8
+
+#: per-worker LRU of fetched broadcast objects (ray.get deserializes
+#: per call; caching by ref makes it once per worker process, and the
+#: bound stops a long-lived worker from keeping every round's broadcast)
+_BCAST_CACHE: OrderedDict = OrderedDict()
 
 
 def _fetch_cached(ref):
@@ -195,8 +201,12 @@ def _fetch_cached(ref):
     if not isinstance(ref, ray.ObjectRef):
         return ref
     key = ref.hex()
-    if key not in _BCAST_CACHE:
+    if key in _BCAST_CACHE:
+        _BCAST_CACHE.move_to_end(key)
+    else:
         _BCAST_CACHE[key] = ray.get(ref)
+        if len(_BCAST_CACHE) > _BCAST_CACHE_MAX:
+            _BCAST_CACHE.popitem(last=False)
     return _BCAST_CACHE[key]
 
 

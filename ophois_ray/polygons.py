@@ -41,6 +41,7 @@ import numpy as np
 import pandas as pd
 
 from . import cells
+from .pages import _fetch_cached
 
 __all__ = [
     "PolygonIndex",
@@ -163,22 +164,6 @@ class PolygonIndex:
         return prow[inside][order], ppid[inside][order]
 
 
-# per-worker cache of fetched PolygonIndex objects (Ray reuses worker
-# processes; each pays the local zero-copy-ish fetch once)
-_POLY_CACHE: dict = {}
-
-
-def _get_poly(ref):
-    import ray
-
-    if not isinstance(ref, ray.ObjectRef):
-        return ref
-    key = ref.hex()
-    if key not in _POLY_CACHE:
-        _POLY_CACHE[key] = ray.get(ref)
-    return _POLY_CACHE[key]
-
-
 def point_in_polygon_join(ds, polys, *, lat_col: str = "lat",
                           lon_col: str = "lon", keep_cols=None,
                           out_col: str = "poly_id",
@@ -197,7 +182,7 @@ def point_in_polygon_join(ds, polys, *, lat_col: str = "lat",
     ref = ray.put(idx)
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        pidx = _get_poly(ref)
+        pidx = _fetch_cached(ref)
         rows, pid = pidx.join(
             df[lat_col].to_numpy(np.float64), df[lon_col].to_numpy(np.float64)
         )

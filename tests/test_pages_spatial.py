@@ -250,6 +250,31 @@ def test_dedup_pages_broadcast_runs_without_an_exchange(pages_ds, monkeypatch):
     assert len(deduped) == pages_ds.to_pandas()["url"].nunique()
 
 
+
+def test_fetch_cached_is_a_bounded_lru(monkeypatch):
+    """The per-worker broadcast cache keeps at most _BCAST_CACHE_MAX
+    objects, drops the least recently used first, and every fetch
+    returns the value behind its ref."""
+    from collections import OrderedDict
+
+    monkeypatch.setattr(pages, "_BCAST_CACHE", OrderedDict())
+    gets = []
+    real_get = ray.get
+    monkeypatch.setattr(ray, "get", lambda ref: gets.append(ref) or real_get(ref))
+    cap = pages._BCAST_CACHE_MAX
+    assert cap >= 8
+    refs = [ray.put(np.full(3, i)) for i in range(cap + 5)]
+    for i, ref in enumerate(refs):
+        assert (pages._fetch_cached(ref) == i).all()
+        # a hit moves refs[0] to the end, so it outlives every later insert
+        assert (pages._fetch_cached(refs[0]) == 0).all()
+        assert len(pages._BCAST_CACHE) == min(i + 1, cap)
+    assert gets == refs  # each ref fetched once: refs[0] was never evicted
+    assert refs[1].hex() not in pages._BCAST_CACHE
+    assert (pages._fetch_cached(refs[1]) == 1).all()
+    assert gets == refs + [refs[1]] and len(pages._BCAST_CACHE) == cap
+    assert pages._fetch_cached("not a ref") == "not a ref"
+
 def _brute_force_nn(pg: pd.DataFrame, eg: pd.DataFrame, k: int = 1) -> pd.DataFrame:
     """Exact top-k edges per page with the (sqdist, u, v) tiebreak."""
     eg = eg.drop_duplicates().sort_values(["u", "v"], kind="stable").reset_index(drop=True)
@@ -563,6 +588,24 @@ def test_checkpointed_write_concurrent_writers(snap_inputs, tmp_path):
     assert len(back) == len(direct)
     assert (back["u"] == direct["u"]).all()
 
+
+
+def test_checkpointed_write_runs_without_an_exchange(snap_inputs, tmp_path, monkeypatch):
+    """The tile writer hands block refs straight to its writer tasks: it
+    must not call groupby, repartition or sort."""
+    pg_ds, eg_ds, _ = snap_inputs
+    result, _ = spatial.knn_snap(pg_ds, eg_ds, res=9, k=1, ring=1, hot_threshold=500)
+    result = result.materialize()
+
+    def refuse(*a, **k):
+        raise AssertionError("checkpointed_write ran an exchange")
+
+    for name in ("groupby", "repartition", "sort"):
+        monkeypatch.setattr(ray.data.Dataset, name, refuse)
+    outdir = str(tmp_path / "out")
+    recs = ckpt.checkpointed_write(result, outdir, tile_res=6, fingerprint="fp")
+    assert sum(r["rows_out"] for r in recs) == result.count()
+    assert set(ckpt.completed_tiles(outdir, "fp")) == {r["tile"] for r in recs}
 
 def test_geospatial_join_checkpointed_resume(tmp_path):
     from ophois_ray import pipelines
