@@ -279,7 +279,7 @@ def headline(pages_dir: str, osm_dir: str) -> dict:
     # street graph = the broadcast small side -> the under-cap rung of
     # build_graph_auto resolves to driver-local assembly here (per-tile
     # bounded at scale; the distributed build_graph takes over past
-    # local_cap_bytes)
+    # its byte cap)
     ewc = pipelines.build_graph_auto(osm_dir)
     t_graph = time.monotonic() - t0
 
@@ -419,6 +419,9 @@ def run_bench() -> dict:
         # co-tenant the way between-run probes can)
         "host_steal_during_runs": [s["steal_pct"] for s in steals],
         "host_iowait_during_runs": [s["iowait_pct"] for s in steals],
+        # every rung decision of the run: which physical plan ran, at
+        # what measured size against which cap
+        "ladders": _ladder_log(),
     }
     ray.shutdown()
     return out
@@ -732,6 +735,12 @@ def run_scaling():
     )
 
 
+def _ladder_log() -> list:
+    from ophois_ray.joins import ladder_log
+
+    return ladder_log()
+
+
 def run_headline_only() -> dict:
     import ray
 
@@ -769,6 +778,9 @@ def run_headline_only() -> dict:
         "runs": [round(r, 3) for r in runs],
         "host_steal_during_runs": [s["steal_pct"] for s in steals],
         "host_iowait_during_runs": [s["iowait_pct"] for s in steals],
+        # every rung decision of the run: which physical plan ran, at
+        # what measured size against which cap
+        "ladders": _ladder_log(),
     }
     ray.shutdown()
     return out

@@ -58,7 +58,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from . import cells
-from .joins import stable_hash
+from .joins import _task, stable_hash
 
 _MARKER = "_MANIFEST.json"
 
@@ -266,19 +266,6 @@ def _write_tiles(outdir: str, fingerprint: str, fail: set[int],
         _write_one_tile(outdir, int(tiles[a]), body.slice(a, b - a), fingerprint, fail)
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
-
-
-_TASKS: dict = {}
-
-
-def _task(fn):
-    """``ray.remote(fn)``, created once per process (library code must
-    not touch Ray at import time)."""
-    import ray
-
-    if fn not in _TASKS:
-        _TASKS[fn] = ray.remote(fn)
-    return _TASKS[fn]
 
 
 def checkpointed_write(

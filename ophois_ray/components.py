@@ -31,7 +31,8 @@ import pandas as pd
 
 from ray.data.aggregate import Count, Min
 
-from .joins import BroadcastIndex, hash_join, stable_hash
+from .joins import (DEFAULT_BROADCAST_CAP, BroadcastIndex, hash_join, ladder,
+                    stable_hash)
 from .oracle import OracleGraph
 
 DEFAULT_LOCAL_CAP = 50_000_000  # edges
@@ -246,22 +247,20 @@ def connected_components_broadcast(nodes, edges):
         pd.DataFrame({"id": ids, "comp": ids[lab]}), preserve_index=False))
 
 
-def connected_components_auto(nodes, edges, *, broadcast_cap: int | None = None,
-                              max_rounds: int = 50, num_buckets: int = 64):
+def connected_components_auto(nodes, edges, *, max_rounds: int = 50,
+                              num_buckets: int = 64):
     """Hybrid exchange ladder for connected components (the repo
-    pattern, cf. graphops.triangle_count): under ``broadcast_cap``
+    pattern, cf. graphops.triangle_count): under the broadcast cap
     edges the key columns ship once and the fixpoint runs in one
     vectorized kernel; above it the distributed pointer-jumping
-    labelprop runs. A ``broadcast_cap=0`` test pins both paths to
-    identical (id, comp) sets."""
-    from .joins import DEFAULT_BROADCAST_CAP
-
-    cap = DEFAULT_BROADCAST_CAP if broadcast_cap is None else broadcast_cap
+    labelprop runs. A forced-rung test pins both paths to identical
+    (id, comp) sets."""
     edges = edges.materialize()
-    if edges.count() <= cap:
-        return connected_components_broadcast(nodes, edges)
-    return connected_components_labelprop(
-        nodes, edges, max_rounds=max_rounds, num_buckets=num_buckets)
+    return ladder(
+        "components.connected_components_auto", edges.count(), DEFAULT_BROADCAST_CAP,
+        lambda: connected_components_broadcast(nodes, edges),
+        lambda: connected_components_labelprop(
+            nodes, edges, max_rounds=max_rounds, num_buckets=num_buckets))
 
 
 def largest_component(nodes, edges, *, method: str = "local", cap: int = DEFAULT_LOCAL_CAP):
@@ -433,9 +432,10 @@ def _h3_rewrite_local(nodes, edges, s_pairs):
         .map_batches(dup_scan, batch_format="pandas")
         .to_pandas()
         if chain
-        else pd.DataFrame({"u": [], "v": []})
+        else pd.DataFrame()
     )
-    dup_pairs = {(min(u, v), max(u, v)) for u, v in zip(dup["u"], dup["v"])}
+    dup_pairs = ({(min(u, v), max(u, v)) for u, v in zip(dup["u"], dup["v"])}
+                 if len(dup) else set())  # a 0-row to_pandas has no columns
     new_pairs = sorted(chain - dup_pairs)
 
     def survivors(df: pd.DataFrame) -> pd.DataFrame:
@@ -474,7 +474,6 @@ def remove_degree_two_nodes_distributed(
     *,
     num_buckets: int = 64,
     max_rounds: int = 40,
-    local_cap: int = 5_000_000,
 ):
     """H3 ``remove_degree_two_nodes`` (reference heuristics.rs:80-91) as
     a distributed dataflow — exact, not approximate.
@@ -491,7 +490,7 @@ def remove_degree_two_nodes_distributed(
 
     HYBRID: the degree-2 snapshot S is computed distributed (one
     hash-bucket shuffle over the arc table — the only pass that touches
-    every edge). When |S| <= ``local_cap`` the chain walk itself runs on
+    every edge). When |S| fits the broadcast cap the chain walk itself runs on
     the driver (S is the small side: the snapshot is 3 ids per degree-2
     node, ~100 bytes — 5M nodes is ~500 MB) and the graph rewrite is
     pure broadcast map_batches with ZERO further shuffles. Above the
@@ -501,7 +500,7 @@ def remove_degree_two_nodes_distributed(
     (2^r -> 2^(r+1) steps, one hash-bucket shuffle per round), so a
     chain of length L resolves in ceil(log2 L) rounds. Rows still
     moving after ``max_rounds`` (2^40 steps) are S-cycles and are
-    discarded. Set ``local_cap=0`` to force the distributed loop (the
+    discarded. ``forced_rung("large")`` forces the distributed loop (the
     pure-distributed tests do). Partitioning assumption: none beyond
     hash(key) — chains may span any number of blocks/nodes.
 
@@ -542,8 +541,18 @@ def remove_degree_two_nodes_distributed(
     if n_s == 0:
         return nodes, edges
 
-    if n_s <= local_cap:
-        return _h3_rewrite_local(nodes, edges, s_pairs)
+    return ladder(
+        "components.remove_degree_two_nodes_distributed", n_s, DEFAULT_BROADCAST_CAP,
+        lambda: _h3_rewrite_local(nodes, edges, s_pairs),
+        lambda: _h3_rewrite_doubling(nodes, edges, arcs, s_pairs,
+                                     num_buckets=num_buckets,
+                                     max_rounds=max_rounds))
+
+
+def _h3_rewrite_doubling(nodes, edges, arcs, s_pairs, *, num_buckets: int,
+                         max_rounds: int):
+    """Over-cap H3: pointer doubling, then the distributed rewrite."""
+    from .joins import grouped_apply
 
     # init: every arc into an S node maps to the arc one step onward
     arcs_in = hash_join(

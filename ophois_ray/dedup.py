@@ -11,10 +11,8 @@ hash-partitioned on content-derived keys so they scale horizontally;
 pair verification hash-joins candidate pairs to their texts and runs
 inside map_batches (no driver text materialization); hot LSH buckets
 are recursively band/plane-split instead of quadratic all-pairs; the
-final grouping of verified pairs union-finds on the driver while the
-pair set is small (near-dup rate bound) and switches to the
-label-propagation components from components.py beyond that
-(``pairs_to_groups``).
+final grouping of verified pairs runs the components ladder from
+components.py (``pairs_to_groups``).
 """
 
 from __future__ import annotations
@@ -23,11 +21,14 @@ import logging
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
-
-from .joins import BroadcastIndex, stable_hash
+from .joins import DEFAULT_BROADCAST_CAP, BroadcastIndex, ladder, stable_hash
 
 _LOG = logging.getLogger("ophois_ray.dedup")
+
+_NGRAM_BROADCAST_CAP = 2_000_000  # gram sets ``ngram_jaccard_pairs`` broadcasts
+_VERIFY_DRIVER_CAP = 2_000_000  # candidate pairs verified on the driver
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 
@@ -58,32 +59,25 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     return grouped_apply(hashed, "content_hash", agg)
 
 
-def exact_dedup_filter(
-    ds,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    *,
-    broadcast_cap: int | None = None,
-):
+def exact_dedup_filter(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Filter variant: drop all but the keeper row per distinct content.
 
     Same broadcast-under-cap ladder as the graph ops: when the winner
-    set (one id per distinct content) fits under ``broadcast_cap`` it
+    set (one id per distinct content) fits under the broadcast cap it
     ships once as a sorted numpy array and every batch filters locally;
     above the cap nothing is materialized on the driver — the corpus is
     bucketed hash-semi-joined against the winner-id Dataset, so the
-    filter holds at billions of distinct documents. A forced-cap pytest
-    pins both paths row-identical.
+    filter holds at billions of distinct documents. A forced-rung
+    pytest pins both paths row-identical.
     """
-    from .joins import DEFAULT_BROADCAST_CAP, hash_join
+    from .joins import hash_join
 
-    if broadcast_cap is None:
-        broadcast_cap = DEFAULT_BROADCAST_CAP
     winners = exact_dedup(ds, text_col, id_col).materialize()
     n_winners = winners.count()
     if n_winners == 0:
         return ds.limit(0)  # empty corpus: 0-row to_pandas drops columns
-    if n_winners <= broadcast_cap:
+
+    def broadcast():
         import ray
 
         keep_ids = winners.select_columns(["keep_id"]).to_pandas()
@@ -95,14 +89,18 @@ def exact_dedup_filter(
 
         return ds.map_batches(keep, batch_format="pandas")
 
-    # winner ids are unique (one keeper per content, one content per
-    # id), so the inner join is an exact semi-join with no fan-out;
-    # keys keep their native dtype end-to-end.
-    def to_key(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({id_col: df["keep_id"]})
+    def semi_join():
+        # winner ids are unique (one keeper per content, one content per
+        # id), so the inner join is an exact semi-join with no fan-out;
+        # keys keep their native dtype end-to-end.
+        def to_key(df: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame({id_col: df["keep_id"]})
 
-    keepers = winners.map_batches(to_key, batch_format="pandas")
-    return hash_join(ds, keepers, id_col, how="inner")
+        keepers = winners.map_batches(to_key, batch_format="pandas")
+        return hash_join(ds, keepers, id_col, how="inner")
+
+    return ladder("dedup.exact_dedup_filter", n_winners, DEFAULT_BROADCAST_CAP,
+                  broadcast, semi_join)
 
 
 # ----------------------------------------------------------------- shingles
@@ -591,7 +589,6 @@ def ngram_jaccard_pairs(
     k: int = 8,
     prefix: int | None = None,
     num_buckets: int = 32,
-    broadcast_cap: int = 2_000_000,
 ):
     """Exact character k-gram Jaccard over given candidate (id_a, id_b)
     pairs — the UNHASHED variant of the MinHash verifier, defined on
@@ -641,12 +638,10 @@ def ngram_jaccard_pairs(
     # candidate pairs — the two bucketed joins it replaces are pure
     # barrier cost at small candidate counts (measured 9.2 s for 40
     # pairs); above the cap the join path is unbounded-scale.
-    if docs.count() <= broadcast_cap:
+    def broadcast():
         import ray
 
-        idx_ref = ray.put(BroadcastIndex.from_dataset(
-            docs, "id", ["__g"], cap=broadcast_cap
-        ))
+        idx_ref = ray.put(BroadcastIndex.from_dataset(docs, "id", ["__g"]))
 
         def verify_bcast(df: pd.DataFrame) -> pd.DataFrame:
             idx = ray.get(idx_ref) if isinstance(idx_ref, ray.ObjectRef) else idx_ref
@@ -663,86 +658,78 @@ def ngram_jaccard_pairs(
 
         return cand.map_batches(verify_bcast, batch_format="pandas")
 
-    j1 = hash_join(
-        cand.map_batches(
-            lambda df: df.rename(columns={"id_a": "id"}), batch_format="pandas"
-        ),
-        docs,
-        "id",
-        num_buckets=num_buckets,
-    ).map_batches(
-        lambda df: df.rename(columns={"id": "id_a", "__g": "__ga", "id_b": "id"}),
-        batch_format="pandas",
-    )
-    j2 = hash_join(j1, docs, "id", num_buckets=num_buckets)
-
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        return verify_arrays(
-            df["id_a"].to_numpy(), df["id"].to_numpy(),
-            list(df["__ga"]), list(df["__g"]),
+    def join():
+        j1 = hash_join(
+            cand.map_batches(
+                lambda df: df.rename(columns={"id_a": "id"}), batch_format="pandas"
+            ),
+            docs,
+            "id",
+            num_buckets=num_buckets,
+        ).map_batches(
+            lambda df: df.rename(columns={"id": "id_a", "__g": "__ga", "id_b": "id"}),
+            batch_format="pandas",
         )
+        j2 = hash_join(j1, docs, "id", num_buckets=num_buckets)
 
-    return j2.map_batches(verify, batch_format="pandas")
+        def verify(df: pd.DataFrame) -> pd.DataFrame:
+            return verify_arrays(
+                df["id_a"].to_numpy(), df["id"].to_numpy(),
+                list(df["__ga"]), list(df["__g"]),
+            )
+
+        return j2.map_batches(verify, batch_format="pandas")
+
+    return ladder("dedup.ngram_jaccard_pairs", docs.count(), _NGRAM_BROADCAST_CAP,
+                  broadcast, join)
 
 
-def pairs_to_groups(verified, *, driver_pair_cap: int = 5_000_000):
-    """Connected duplicate groups from verified (id_a, id_b) pairs.
-    Group label = smallest member id.
+def _no_groups():
+    """The empty (id, group) Dataset, with its schema."""
+    import ray
 
-    Pairs are tiny relative to the corpus (near-dup rate bound): below
-    ``driver_pair_cap`` they union-find on the driver and a pandas
-    (id, group) frame comes back as a convenience; above the cap the
-    distributed components ladder (components.py) takes over and the
-    labels are returned as a Ray ``Dataset`` (id, group) WITHOUT ever
-    touching the driver — at 100 TB a realistic near-dup rate makes
-    the member table billions of rows, so the caller writes it out or
-    joins it downstream, distributed. Both paths produce the identical
-    min-id labels for every member of a group of size >= 2 (pinned by
-    the forced-cap parity test)."""
-    n_pairs = verified.count()
-    if n_pairs == 0:
-        return pd.DataFrame(
-            {"id": pd.Series(dtype=np.int64), "group": pd.Series(dtype=np.int64)}
-        )
-    if n_pairs <= driver_pair_cap:
-        pairs = verified.select_columns(["id_a", "id_b"]).to_pandas()
-        parent: dict = {}
+    return ray.data.from_arrow(pa.table(
+        {"id": pa.array([], pa.int64()), "group": pa.array([], pa.int64())}))
 
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
 
-        for ia, ib in zip(pairs["id_a"], pairs["id_b"]):
-            ra, rb = find(ia), find(ib)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        members = sorted({i for p in zip(pairs["id_a"], pairs["id_b"]) for i in p})
-        return pd.DataFrame({"id": members, "group": [find(i) for i in members]})
+def pairs_to_groups(verified):
+    """Connected duplicate groups from verified (id_a, id_b) pairs, as a
+    Dataset (id, group) over every pair member. Group label = smallest
+    member id.
 
-    # distributed grouping: nodes = distinct pair members, edges = pairs.
-    # The hybrid ladder applies: driver_pair_cap guards materializing
-    # whole pair GROUPS on the driver, but the bare (u, v) key columns
-    # fit the broadcast regime far above it — the vectorized kernel
-    # resolves those without the labelprop's per-round barriers
-    from .components import connected_components_auto
+    Pairs are tiny relative to the corpus (near-dup rate bound): under
+    the broadcast cap the bare key columns resolve in the vectorized
+    min-label kernel (``components.connected_components_broadcast``);
+    above it the member table is deduped distributed and the
+    components ladder (components.py) takes over, never touching the
+    driver — at 100 TB a realistic near-dup rate makes the member table
+    billions of rows, so the caller writes it out or joins it
+    downstream. Both rungs produce identical min-id labels (pinned by
+    the forced-rung parity test)."""
+    from .components import (connected_components_auto,
+                             connected_components_broadcast)
     from .joins import distinct_rows
 
+    verified = verified.materialize()
     edges = verified.map_batches(
         lambda df: pd.DataFrame({"u": df["id_a"], "v": df["id_b"]}),
         batch_format="pandas",
     )
-    nodes = distinct_rows(
-        verified.map_batches(
-            lambda df: pd.DataFrame(
-                {"id": np.concatenate([df["id_a"].to_numpy(), df["id_b"].to_numpy()])}
-            ),
-            batch_format="pandas",
+    members = verified.map_batches(
+        lambda df: pd.DataFrame(
+            {"id": np.concatenate([df["id_a"].to_numpy(), df["id_b"].to_numpy()])}
         ),
-        "id",
+        batch_format="pandas",
     )
-    labels = connected_components_auto(nodes, edges, num_buckets=16)
+    n_pairs = verified.count()
+    if n_pairs == 0:
+        return _no_groups()
+    labels = ladder(
+        "dedup.pairs_to_groups", n_pairs, DEFAULT_BROADCAST_CAP,
+        # the kernel dedups the member ids itself
+        lambda: connected_components_broadcast(members, edges),
+        lambda: connected_components_auto(
+            distinct_rows(members, "id"), edges, num_buckets=16))
     return labels.map_batches(
         lambda df: df.rename(columns={"comp": "group"}),
         batch_format="pandas",
@@ -759,40 +746,32 @@ def minhash_near_dup_groups(
     bands: int = 16,
     threshold: float = 0.8,
     seed: int = 7,
-    driver_pair_cap: int = 5_000_000,
-    driver_verify_cap: int = 2_000_000,
 ):
     """Full near-dup pipeline: LSH candidates -> exact n-gram Jaccard
-    verification -> connected duplicate groups (driver union-find under
-    ``driver_pair_cap`` verified pairs, distributed label propagation
-    above it). Yields (id, group) for every document in a near-dup
-    group of size >= 2 — pandas below ``driver_pair_cap`` (small
-    result, driver convenience), a Ray ``Dataset`` above it (the
-    100-TB regime: the group table itself is too big to collect; see
-    :func:`pairs_to_groups`).
+    verification -> connected duplicate groups (:func:`pairs_to_groups`).
+    Returns a Dataset (id, group) over every document in a near-dup
+    group of size >= 2 (empty when there is none).
 
     Verification is HYBRID: shingle-hash sets are always computed
     distributed (one map pass over the candidate docs); when the
-    candidate PAIR count is <= ``driver_verify_cap`` the sets of
+    candidate PAIR count fits ``_VERIFY_DRIVER_CAP`` the sets of
     candidate ids only (a uint64 array per doc — ~2 KB, not the text)
     are collected and pairs verify on the driver with a per-doc cache
     (two fewer all-to-all joins — measured 2x the whole pipeline at
     small scale); above the cap, pairs hash-join the shingle sets and
     verify inside map_batches (``minhash_verified_pairs``) with no
-    driver materialization of any kind. ``driver_verify_cap=0`` forces
-    the distributed path."""
+    driver materialization of any kind."""
+    import ray
+
     cand = minhash_lsh_candidates(
         ds, text_col=text_col, id_col=id_col, shingle_k=shingle_k,
         num_perm=num_perm, bands=bands, seed=seed,
     ).materialize()
-    n_pairs = cand.count()
-    if n_pairs == 0:
-        return pd.DataFrame(
-            {"id": pd.Series(dtype=np.int64), "group": pd.Series(dtype=np.int64)}
-        )
-    if n_pairs <= driver_verify_cap:
-        import ray
+    n_cand = cand.count()
+    if n_cand == 0:
+        return _no_groups()
 
+    def verify_on_driver():
         pairs = cand.to_pandas()
         wanted = ray.put(
             frozenset(np.concatenate([pairs["id_a"].to_numpy(), pairs["id_b"].to_numpy()]).tolist())
@@ -824,24 +803,20 @@ def minhash_near_dup_groups(
             dtype=np.float64,
         )
         m = jac >= threshold
-        kept = pd.DataFrame(
-            {
-                "id_a": pairs["id_a"].to_numpy()[m],
-                "id_b": pairs["id_b"].to_numpy()[m],
-                "jaccard": jac[m],
-            }
-        )
-        verified = ray.data.from_pandas(kept) if len(kept) else ray.data.from_pandas(
-            pd.DataFrame({"id_a": pd.Series(dtype=np.int64),
-                          "id_b": pd.Series(dtype=np.int64),
-                          "jaccard": pd.Series(dtype=np.float64)})
-        )
-    else:
-        verified = minhash_verified_pairs(
+        return ray.data.from_arrow(pa.table({
+            "id_a": pairs["id_a"].to_numpy()[m],
+            "id_b": pairs["id_b"].to_numpy()[m],
+            "jaccard": jac[m],
+        }))
+
+    verified = ladder(
+        "dedup.minhash_near_dup_groups", n_cand, _VERIFY_DRIVER_CAP,
+        verify_on_driver,
+        lambda: minhash_verified_pairs(
             ds, cand, text_col=text_col, id_col=id_col,
             shingle_k=shingle_k, threshold=threshold,
-        ).materialize()
-    return pairs_to_groups(verified, driver_pair_cap=driver_pair_cap)
+        ))
+    return pairs_to_groups(verified)
 
 
 # ------------------------------------------------------------------ simhash

@@ -15,13 +15,15 @@ Reference semantics implemented here:
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
 import pandas as pd
 
 from . import geo
-from .joins import DEFAULT_BROADCAST_CAP, grouped_apply, hash_join, put_index
+from .joins import (DEFAULT_BROADCAST_CAP, _dataset_to_table, grouped_apply,
+                    hash_join, ladder, put_index)
 
 # ------------------------------------------------------------------ dedup
 
@@ -363,6 +365,13 @@ def _to_ends(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
+def _both_arcs(df: pd.DataFrame) -> pd.DataFrame:
+    """Both directed arcs (src, dst) of every canonical edge (u, v)."""
+    u = df["u"].to_numpy(np.int64)
+    v = df["v"].to_numpy(np.int64)
+    return pd.DataFrame({"src": np.concatenate([u, v]), "dst": np.concatenate([v, u])})
+
+
 def _deg_partial(df: pd.DataFrame) -> pd.DataFrame:
     g = df.groupby("node", as_index=False).size().rename(columns={"size": "deg"})
     g["deg"] = g["deg"].astype(np.int64)
@@ -393,7 +402,7 @@ def _driver_merged_degrees(edges) -> pd.DataFrame:
 
 def _broadcast_wedge_plan(edges, *, n_tasks: int = 64):
     """Driver-built degree-oriented wedge plan for the BROADCAST regime
-    (caller already verified edge count <= broadcast_cap, so one
+    (the caller's ladder put the edge count under the broadcast cap, so one
     driver pass over the edge table is in-budget — the same license
     `_driver_merged_degrees` / `_sorted_edge_keys` use). Returns
     ``(ranges, ref, n_wedges)``:
@@ -500,74 +509,42 @@ def _closed_wedge_scan(edges, reduce_fn, *, n_tasks: int = 64):
     return scan.map_batches(scan_fn, batch_format="pandas")
 
 
-def _oriented_wedges(edges, *, num_buckets: int, broadcast_cap: int):
-    """Shared wedge engine for :func:`triangle_count` /
-    :func:`triangles_per_node`: materialize the canonical edge table
-    (int64 ``u < v``), degree-orient every edge from its lower-(degree,
-    id) endpoint, and emit each pivot's out-neighbour pairs as
-    pivot-tagged wedges ``(p, u, v)`` with ``u < v``. Returns
-    ``(edges, wedges, use_broadcast)``; ``edges`` is the materialized
-    input, safe for further consumers.
+def _oriented_wedges(edges, *, num_buckets: int):
+    """Shared wedge engine for the over-cap rungs of
+    :func:`triangle_count` / :func:`triangles_per_node`: degree-orient
+    every edge of the materialized canonical edge table (int64
+    ``u < v``) from its lower-(degree, id) endpoint through two bucketed
+    degree joins, and emit each pivot's out-neighbour pairs as
+    pivot-tagged wedges ``(p, u, v)`` with ``u < v``.
     """
-    import ray
+    deg = grouped_apply(
+        edges.map_batches(_to_ends, batch_format="pandas").map_batches(
+            _deg_partial, batch_format="pandas"
+        ),
+        "node", _deg_merge, num_buckets=num_buckets,
+    ).materialize()  # two consumers (deg_u, deg_v)
+    deg_u = deg.map_batches(
+        lambda df: df.rename(columns={"node": "u", "deg": "deg_u"}),
+        batch_format="pandas",
+    )
+    deg_v = deg.map_batches(
+        lambda df: df.rename(columns={"node": "v", "deg": "deg_v"}),
+        batch_format="pandas",
+    )
+    with_du = hash_join(edges, deg_u, on="u", num_buckets=num_buckets)
+    with_dv = hash_join(with_du, deg_v, on="v", num_buckets=num_buckets)
 
-    from .joins import BroadcastIndex
-
-    # edges feed three consumers (degrees, orient, closure keys) — pin
-    # the blocks once or the whole upstream chain re-executes per
-    # consumer (measured: the dominant cost of the first version)
-    edges = edges.materialize()
-    n_edges = edges.count()
-    use_broadcast = n_edges <= broadcast_cap  # n_nodes <= 2 * n_edges
-
-    if use_broadcast:
-        merged = _driver_merged_degrees(edges)
-        dref = ray.put(BroadcastIndex(
-            merged["node"].to_numpy(np.int64),
-            {"deg": merged["deg"].to_numpy(np.int64)},
-        ))
-
-        def orient(df: pd.DataFrame) -> pd.DataFrame:
-            idx = ray.get(dref) if isinstance(dref, ray.ObjectRef) else dref
-            u = df["u"].to_numpy(np.int64)
-            v = df["v"].to_numpy(np.int64)
-            du = idx.lookup(u, "deg")
-            dv = idx.lookup(v, "deg")
-            u_first = (du < dv) | ((du == dv) & (u < v))
-            return pd.DataFrame(
-                {"src": np.where(u_first, u, v), "dst": np.where(u_first, v, u)}
-            )
-
-        oriented = edges.map_batches(orient, batch_format="pandas")
-    else:
-        deg = grouped_apply(
-            edges.map_batches(_to_ends, batch_format="pandas").map_batches(
-                _deg_partial, batch_format="pandas"
-            ),
-            "node", _deg_merge, num_buckets=num_buckets,
-        ).materialize()  # two consumers (deg_u, deg_v)
-        deg_u = deg.map_batches(
-            lambda df: df.rename(columns={"node": "u", "deg": "deg_u"}),
-            batch_format="pandas",
+    def orient_joined(df: pd.DataFrame) -> pd.DataFrame:
+        u = df["u"].to_numpy(np.int64)
+        v = df["v"].to_numpy(np.int64)
+        du = df["deg_u"].to_numpy(np.int64)
+        dv = df["deg_v"].to_numpy(np.int64)
+        u_first = (du < dv) | ((du == dv) & (u < v))
+        return pd.DataFrame(
+            {"src": np.where(u_first, u, v), "dst": np.where(u_first, v, u)}
         )
-        deg_v = deg.map_batches(
-            lambda df: df.rename(columns={"node": "v", "deg": "deg_v"}),
-            batch_format="pandas",
-        )
-        with_du = hash_join(edges, deg_u, on="u", num_buckets=num_buckets)
-        with_dv = hash_join(with_du, deg_v, on="v", num_buckets=num_buckets)
 
-        def orient_joined(df: pd.DataFrame) -> pd.DataFrame:
-            u = df["u"].to_numpy(np.int64)
-            v = df["v"].to_numpy(np.int64)
-            du = df["deg_u"].to_numpy(np.int64)
-            dv = df["deg_v"].to_numpy(np.int64)
-            u_first = (du < dv) | ((du == dv) & (u < v))
-            return pd.DataFrame(
-                {"src": np.where(u_first, u, v), "dst": np.where(u_first, v, u)}
-            )
-
-        oriented = with_dv.map_batches(orient_joined, batch_format="pandas")
+    oriented = with_dv.map_batches(orient_joined, batch_format="pandas")
 
     def wedges_fn(df: pd.DataFrame) -> pd.DataFrame:
         # all (i < j) pairs within each pivot's sorted out-neighbour
@@ -587,8 +564,7 @@ def _oriented_wedges(edges, *, num_buckets: int, broadcast_cap: int):
             {"p": src[pr["u"]], "u": dst[pr["u"]], "v": dst[pr["v"]]}
         )
 
-    wedges = grouped_apply(oriented, "src", wedges_fn, num_buckets=num_buckets)
-    return edges, wedges, use_broadcast
+    return grouped_apply(oriented, "src", wedges_fn, num_buckets=num_buckets)
 
 
 def _sorted_edge_keys(edges) -> np.ndarray:
@@ -610,8 +586,7 @@ def _sorted_edge_keys(edges) -> np.ndarray:
     )
 
 
-def triangle_count(edges, *, num_buckets: int = 64,
-                   broadcast_cap: int = DEFAULT_BROADCAST_CAP) -> int:
+def triangle_count(edges, *, num_buckets: int = 64) -> int:
     """Distributed triangle count over a canonical distinct edge table
     (int64 columns ``u < v``), by degree-ordered wedge checking — the
     standard scalable algorithm (node-iterator with degree orientation):
@@ -621,15 +596,16 @@ def triangle_count(edges, *, num_buckets: int = 64,
     out-degree by O(sqrt(m)), so wedge volume is O(m^1.5) even on
     power-law graphs where naive per-node pairing is quadratic at hubs.
 
-    Hybrid exchange plan (the repo pattern): when the degree table /
-    edge set fit under ``broadcast_cap`` they ship once as sorted numpy
-    arrays (searchsorted lookups, zero shuffle — degree attach and
-    wedge closure become pure fused maps and only the wedge grouping
-    shuffles); above the cap both fall back to bucketed ``hash_join``.
-    A ``broadcast_cap=0`` test pins the join path to the same answer.
+    Hybrid exchange plan (the repo pattern): when the edge set fits
+    the broadcast cap the degree table and edge keys ship once as
+    sorted numpy arrays (searchsorted lookups, zero shuffle — degree
+    attach and wedge closure become pure fused maps); above the cap
+    both fall back to bucketed ``hash_join``. A forced-rung test pins
+    the join path to the same answer.
     """
     edges = edges.materialize()
-    if edges.count() <= broadcast_cap:
+
+    def broadcast():
         parts = _closed_wedge_scan(
             edges,
             lambda w: pd.DataFrame({"n": np.array([len(w)], dtype=np.int64)}),
@@ -638,23 +614,26 @@ def triangle_count(edges, *, num_buckets: int = 64,
             batch_format="pandas", batch_size=None
         )))
 
-    edges, wedges, _ = _oriented_wedges(
-        edges, num_buckets=num_buckets, broadcast_cap=0
-    )
-    closed = hash_join(
-        # the count doesn't need the pivot — project it off before the
-        # O(m^1.5) wedge set rides the closure shuffle
-        wedges.map_batches(lambda df: df[["u", "v"]], batch_format="pandas"),
-        edges.map_batches(
-            lambda df: df.assign(__e=np.int64(1)), batch_format="pandas"
-        ),
-        on=["u", "v"], num_buckets=num_buckets,
-    )
-    return closed.count()
+    def join():
+        wedges = _oriented_wedges(edges, num_buckets=num_buckets)
+        return hash_join(
+            # the count doesn't need the pivot — project it off before the
+            # O(m^1.5) wedge set rides the closure shuffle
+            wedges.map_batches(lambda df: df[["u", "v"]], batch_format="pandas"),
+            edges.map_batches(
+                lambda df: df.assign(__e=np.int64(1)), batch_format="pandas"
+            ),
+            on=["u", "v"], num_buckets=num_buckets,
+        ).count()
+
+    n_edges = edges.count()
+    if n_edges == 0:  # no triangles (the joins of the large rung need a schema)
+        return 0
+    return ladder("graphops.triangle_count", n_edges, DEFAULT_BROADCAST_CAP,
+                  broadcast, join)
 
 
-def triangles_per_node(edges, *, num_buckets: int = 64,
-                       broadcast_cap: int = DEFAULT_BROADCAST_CAP):
+def triangles_per_node(edges, *, num_buckets: int = 64):
     """Per-node triangle participation over a canonical distinct edge
     table (int64 ``u < v``): ``tri(n)`` = number of triangles containing
     node ``n`` — the numerator of the local clustering coefficient.
@@ -675,7 +654,7 @@ def triangles_per_node(edges, *, num_buckets: int = 64,
     Scale shape: the broadcast path checks closure against the sorted
     packed edge-key array inside the fused map and pre-aggregates
     (node, tri) partials per batch, so the driver merge is bounded by
-    n_nodes <= 2 x ``broadcast_cap``; above the cap everything stays
+    n_nodes <= 2 x the broadcast cap; above the cap everything stays
     distributed (bucketed ``hash_join`` closure + ``grouped_apply``).
     """
     import ray
@@ -701,7 +680,8 @@ def triangles_per_node(edges, *, num_buckets: int = 64,
         return g
 
     edges = edges.materialize()
-    if edges.count() <= broadcast_cap:
+
+    def broadcast():
         pieces = [
             b for b in _closed_wedge_scan(edges, corner_counts)
             .iter_batches(batch_format="pandas", batch_size=None)
@@ -718,21 +698,25 @@ def triangles_per_node(edges, *, num_buckets: int = 64,
             preserve_index=False,
         ))
 
-    edges, wedges, _ = _oriented_wedges(
-        edges, num_buckets=num_buckets, broadcast_cap=0
-    )
-    closed = hash_join(
-        wedges, edges.map_batches(
-            lambda df: df.assign(__e=np.int64(1)), batch_format="pandas"
-        ),
-        on=["u", "v"], num_buckets=num_buckets,
-    )
-    corners = closed.map_batches(corner_counts, batch_format="pandas")
-    return grouped_apply(corners, "node", merge_counts, num_buckets=num_buckets)
+    def join():
+        closed = hash_join(
+            _oriented_wedges(edges, num_buckets=num_buckets),
+            edges.map_batches(
+                lambda df: df.assign(__e=np.int64(1)), batch_format="pandas"
+            ),
+            on=["u", "v"], num_buckets=num_buckets,
+        )
+        corners = closed.map_batches(corner_counts, batch_format="pandas")
+        return grouped_apply(corners, "node", merge_counts, num_buckets=num_buckets)
+
+    n_edges = edges.count()
+    if n_edges == 0:  # the driver rung's empty table (the joins need a schema)
+        return broadcast()
+    return ladder("graphops.triangles_per_node", n_edges, DEFAULT_BROADCAST_CAP,
+                  broadcast, join)
 
 
-def kcore_peel(edges, k: int, rounds: int = 3, *, num_buckets: int = 64,
-               broadcast_cap: int = DEFAULT_BROADCAST_CAP):
+def kcore_peel(edges, k: int, rounds: int = 3, *, num_buckets: int = 64):
     """Fixed-round k-core peel over a canonical distinct edge table
     (int64 ``u < v``): each round keeps the nodes of current degree
     >= ``k`` and the edges with both endpoints surviving, then
@@ -745,7 +729,7 @@ def kcore_peel(edges, k: int, rounds: int = 3, *, num_buckets: int = 64,
     (round, n_nodes, n_edges) — survivor count entering the round and
     edges remaining after it — and ``edges`` the surviving Dataset.
 
-    Hybrid exchange per round: under ``broadcast_cap`` the survivor set
+    Hybrid exchange per round: under the broadcast cap the survivor set
     ships once as a sorted int64 array and the edge filter is a fused
     map (zero shuffle); above it degrees come from bucketed
     ``grouped_apply`` and the filter is two hash-join semi-joins, with a
@@ -753,60 +737,61 @@ def kcore_peel(edges, k: int, rounds: int = 3, *, num_buckets: int = 64,
     """
     import ray
 
+    def broadcast_round(edges):
+        deg = _driver_merged_degrees(edges)
+        surv = np.sort(deg.loc[deg["deg"] >= k, "node"].to_numpy(np.int64))
+        sref = ray.put(surv)
+
+        def keep(df: pd.DataFrame) -> pd.DataFrame:
+            s = ray.get(sref) if isinstance(sref, ray.ObjectRef) else sref
+            if len(s) == 0:
+                return df.iloc[0:0]
+            u = df["u"].to_numpy(np.int64)
+            v = df["v"].to_numpy(np.int64)
+            iu = np.minimum(np.searchsorted(s, u), len(s) - 1)
+            iv = np.minimum(np.searchsorted(s, v), len(s) - 1)
+            return df[(s[iu] == u) & (s[iv] == v)]
+
+        return len(surv), edges.map_batches(keep, batch_format="pandas").materialize()
+
+    def join_round(edges):
+        deg = grouped_apply(
+            edges.map_batches(_to_ends, batch_format="pandas").map_batches(
+                _deg_partial, batch_format="pandas"
+            ),
+            "node", _deg_merge, num_buckets=num_buckets,
+        )
+        surv_ds = deg.map_batches(
+            lambda df: df.loc[df["deg"] >= k, ["node"]],
+            batch_format="pandas",
+        ).materialize()  # consumers: count + two semi-joins
+        n_nodes = surv_ds.count()
+        if n_nodes == 0:
+            # hash_join needs a schema on both sides; an empty
+            # survivor set means an empty graph — short-circuit
+            return 0, edges.map_batches(
+                lambda df: df.iloc[0:0], batch_format="pandas"
+            ).materialize()
+        su = surv_ds.map_batches(
+            lambda df: df.rename(columns={"node": "u"}), batch_format="pandas"
+        )
+        sv = surv_ds.map_batches(
+            lambda df: df.rename(columns={"node": "v"}), batch_format="pandas"
+        )
+        edges = hash_join(
+            hash_join(edges, su, on="u", num_buckets=num_buckets),
+            sv, on="v", num_buckets=num_buckets,
+        )
+        # iterative loop: bound the block count before materializing
+        # (it otherwise multiplies per round — see CLAUDE.md)
+        return n_nodes, edges.repartition(max(1, num_buckets // 8)).materialize()
+
     edges = edges.materialize()
     stats = []
     for r in range(1, rounds + 1):
-        n_e = edges.count()
-        if n_e <= broadcast_cap:
-            deg = _driver_merged_degrees(edges)
-            surv = np.sort(deg.loc[deg["deg"] >= k, "node"].to_numpy(np.int64))
-            n_nodes = len(surv)
-            sref = ray.put(surv)
-
-            def keep(df: pd.DataFrame, _s=sref) -> pd.DataFrame:
-                s = ray.get(_s) if isinstance(_s, ray.ObjectRef) else _s
-                if len(s) == 0:
-                    return df.iloc[0:0]
-                u = df["u"].to_numpy(np.int64)
-                v = df["v"].to_numpy(np.int64)
-                iu = np.minimum(np.searchsorted(s, u), len(s) - 1)
-                iv = np.minimum(np.searchsorted(s, v), len(s) - 1)
-                return df[(s[iu] == u) & (s[iv] == v)]
-
-            edges = edges.map_batches(keep, batch_format="pandas").materialize()
-        else:
-            deg = grouped_apply(
-                edges.map_batches(_to_ends, batch_format="pandas").map_batches(
-                    _deg_partial, batch_format="pandas"
-                ),
-                "node", _deg_merge, num_buckets=num_buckets,
-            )
-            surv_ds = deg.map_batches(
-                lambda df: df.loc[df["deg"] >= k, ["node"]],
-                batch_format="pandas",
-            ).materialize()  # consumers: count + two semi-joins
-            n_nodes = surv_ds.count()
-            if n_nodes == 0:
-                # hash_join needs a schema on both sides; an empty
-                # survivor set means an empty graph — short-circuit
-                edges = edges.map_batches(
-                    lambda df: df.iloc[0:0], batch_format="pandas"
-                ).materialize()
-                stats.append((r, 0, 0))
-                continue
-            su = surv_ds.map_batches(
-                lambda df: df.rename(columns={"node": "u"}), batch_format="pandas"
-            )
-            sv = surv_ds.map_batches(
-                lambda df: df.rename(columns={"node": "v"}), batch_format="pandas"
-            )
-            edges = hash_join(
-                hash_join(edges, su, on="u", num_buckets=num_buckets),
-                sv, on="v", num_buckets=num_buckets,
-            )
-            # iterative loop: bound the block count before materializing
-            # (it otherwise multiplies per round — see CLAUDE.md)
-            edges = edges.repartition(max(1, num_buckets // 8)).materialize()
+        n_nodes, edges = ladder(
+            "graphops.kcore_peel", edges.count(), DEFAULT_BROADCAST_CAP,
+            lambda: broadcast_round(edges), lambda: join_round(edges))
         stats.append((r, n_nodes, edges.count()))
 
     stats_df = pd.DataFrame(stats, columns=["round", "n_nodes", "n_edges"])
@@ -835,13 +820,48 @@ def _arc_degrees_ds(arcs, *, num_buckets: int):
                          drop_partial=part)
 
 
+def _node_state_ladders(name: str, edges, arcs, *, num_buckets: int,
+                        small, large):
+    """The two rung switches of a node-state loop over a materialized
+    canonical edge table (``arcs()`` gives its arc table).
+    ``<name>.edges``: the (node, d) degree table from per-batch partials
+    merged on the driver (n_nodes <= 2 x n_edges under the cap, no
+    grouped_apply barrier), else from the bucketed count over the arcs.
+    ``<name>.nodes``: per-node state on the driver, ``small(deg)`` with
+    the pandas table sorted by node, else co-partitioned,
+    ``large(deg_ds)`` with the Dataset."""
+    import pyarrow as pa
+    import ray
+
+    def driver_degrees():
+        deg = (_driver_merged_degrees(edges).rename(columns={"deg": "d"})
+               .sort_values("node", ignore_index=True))
+        return len(deg), lambda: deg, lambda: ray.data.from_arrow(
+            pa.Table.from_pandas(deg, preserve_index=False))
+
+    def distributed_degrees():
+        deg_ds = _arc_degrees_ds(arcs(), num_buckets=num_buckets).materialize()
+
+        def collect():
+            deg = _dataset_to_table(deg_ds, ["node", "d"]).to_pandas()
+            return deg.sort_values("node", ignore_index=True)
+
+        return deg_ds.count(), collect, lambda: deg_ds
+
+    n, frame, dataset = ladder(f"{name}.edges", edges.count(),
+                               DEFAULT_BROADCAST_CAP, driver_degrees,
+                               distributed_degrees)
+    return ladder(f"{name}.nodes", n, DEFAULT_BROADCAST_CAP,
+                  lambda: small(frame()), lambda: large(dataset()))
+
+
 def _bfs_depths_copart(arcs, nodes_ds, *, seed_mod: int, rounds: int,
                        num_buckets: int):
-    """Co-partitioned BFS fallback (n_nodes > broadcast_cap): the depth
+    """Co-partitioned BFS fallback (n_nodes over the broadcast cap): the depth
     table lives as a Dataset and every round is (frontier ⋈ arcs on
     src) + a bucketed min-depth merge — no O(n_nodes) driver state.
     Bit-matches the broadcast path: depth = first round reached, seeds
-    by split_hash(node) % seed_mod == 0 (pinned by the forced-cap
+    by split_hash(node) % seed_mod == 0 (pinned by the forced-rung
     path-equality pytest)."""
     from .sampling import split_hash
 
@@ -887,7 +907,6 @@ def _bfs_depths_copart(arcs, nodes_ds, *, seed_mod: int, rounds: int,
 
 
 def bfs_depths(edges, *, seed_mod: int = 97, rounds: int = 3,
-               broadcast_cap: int = DEFAULT_BROADCAST_CAP,
                num_buckets: int = 64):
     """Multi-source BFS depth assignment over a canonical distinct edge
     table (int64 ``u < v``) — the frontier-expansion primitive (the
@@ -899,12 +918,13 @@ def bfs_depths(edges, *, seed_mod: int = 97, rounds: int = 3,
     ``depth = first round reached`` (0 for seeds). Returns a Dataset
     ``(node, depth)`` over reached nodes.
 
-    Scale shape: under ``broadcast_cap`` the frontier ships once per
-    round as a sorted int64 array and reached-neighbour partials are
-    pre-deduped per batch (driver union bounded by n_nodes); above the
-    cap it switches to :func:`_bfs_depths_copart` — depth table stays a
-    Dataset, each round is one bucketed hash-join + min-depth merge, no
-    O(n_nodes) driver state. Both paths are bit-identical (forced-cap
+    Scale shape (:func:`_node_state_ladders`): under the broadcast cap
+    the frontier ships once per round as a sorted int64 array and
+    reached-neighbour partials are pre-deduped per batch (driver union
+    bounded by n_nodes); above the cap it switches to
+    :func:`_bfs_depths_copart` — depth table stays a Dataset, each
+    round is one bucketed hash-join + min-depth merge, no O(n_nodes)
+    driver state. Both paths are bit-identical (forced-rung
     path-equality pytest).
     """
     from .sampling import check_hash_mod
@@ -915,74 +935,53 @@ def bfs_depths(edges, *, seed_mod: int = 97, rounds: int = 3,
     from .sampling import split_hash
 
     edges = edges.materialize()
-    # n_nodes <= 2 * n_edges: under the cap by that proxy, the node set
-    # comes from the zero-shuffle per-batch-partial + driver merge (the
-    # shape the broadcast loop always used — no grouped_apply barrier
-    # on the bench path, same trick as triangle_count)
-    nodes = None
-    if edges.count() <= broadcast_cap:
-        cand = np.sort(
-            _driver_merged_degrees(edges)["node"].to_numpy(np.int64))
-        if len(cand) <= broadcast_cap:
-            nodes = cand
-    if nodes is None:
-        arcs = edges.map_batches(
-            lambda df: pd.DataFrame({
-                "src": np.concatenate([df["u"].to_numpy(np.int64),
-                                       df["v"].to_numpy(np.int64)]),
-                "dst": np.concatenate([df["v"].to_numpy(np.int64),
-                                       df["u"].to_numpy(np.int64)]),
-            }),
-            batch_format="pandas",
-        ).materialize()
-        nodes_ds = _arc_degrees_ds(arcs, num_buckets=num_buckets).map_batches(
-            lambda df: df[["node"]], batch_format="pandas"
-        ).materialize()
-        if nodes_ds.count() > broadcast_cap:
-            return _bfs_depths_copart(
-                arcs, nodes_ds, seed_mod=seed_mod, rounds=rounds,
-                num_buckets=num_buckets,
-            )
-        nodes = np.sort(np.concatenate(
-            [b["node"].to_numpy(np.int64) for b in nodes_ds.iter_batches(
-                batch_format="pandas", batch_size=None)]
-            or [np.array([], dtype=np.int64)]
+    arcs = functools.cache(
+        lambda: edges.map_batches(_both_arcs, batch_format="pandas").materialize())
+
+    def on_driver(deg: pd.DataFrame):
+        nodes = deg["node"].to_numpy(np.int64)
+        depth = np.full(len(nodes), -1, dtype=np.int64)
+        seeds = nodes[split_hash(nodes) % seed_mod == 0]
+        depth[np.searchsorted(nodes, seeds)] = 0
+
+        frontier = seeds
+        for r in range(1, rounds + 1):
+            if len(frontier) == 0:
+                break
+            fref = ray.put(np.sort(frontier))
+
+            def reach(df: pd.DataFrame, _f=fref) -> pd.DataFrame:
+                f = ray.get(_f) if isinstance(_f, ray.ObjectRef) else _f
+                u = df["u"].to_numpy(np.int64)
+                v = df["v"].to_numpy(np.int64)
+                iu = np.minimum(np.searchsorted(f, u), len(f) - 1)
+                iv = np.minimum(np.searchsorted(f, v), len(f) - 1)
+                out = np.concatenate([v[f[iu] == u], u[f[iv] == v]])
+                return pd.DataFrame({"node": np.unique(out)})
+
+            pieces = [
+                b["node"].to_numpy(np.int64)
+                for b in edges.map_batches(reach, batch_format="pandas")
+                .iter_batches(batch_format="pandas", batch_size=None)
+            ]
+            reached = np.unique(np.concatenate(pieces)) if pieces else (
+                np.array([], dtype=np.int64))
+            pos = np.searchsorted(nodes, reached)
+            new_mask = depth[pos] < 0
+            frontier = reached[new_mask]
+            depth[pos[new_mask]] = r
+
+        keep = depth >= 0
+        return ray.data.from_pandas(pd.DataFrame(
+            {"node": nodes[keep], "depth": depth[keep]}
         ))
-    depth = np.full(len(nodes), -1, dtype=np.int64)
-    seeds = nodes[split_hash(nodes) % seed_mod == 0]
-    depth[np.searchsorted(nodes, seeds)] = 0
 
-    frontier = seeds
-    for r in range(1, rounds + 1):
-        if len(frontier) == 0:
-            break
-        fref = ray.put(np.sort(frontier))
-
-        def reach(df: pd.DataFrame, _f=fref) -> pd.DataFrame:
-            f = ray.get(_f) if isinstance(_f, ray.ObjectRef) else _f
-            u = df["u"].to_numpy(np.int64)
-            v = df["v"].to_numpy(np.int64)
-            iu = np.minimum(np.searchsorted(f, u), len(f) - 1)
-            iv = np.minimum(np.searchsorted(f, v), len(f) - 1)
-            out = np.concatenate([v[f[iu] == u], u[f[iv] == v]])
-            return pd.DataFrame({"node": np.unique(out)})
-
-        pieces = [
-            b["node"].to_numpy(np.int64)
-            for b in edges.map_batches(reach, batch_format="pandas")
-            .iter_batches(batch_format="pandas", batch_size=None)
-        ]
-        reached = np.unique(np.concatenate(pieces)) if pieces else (
-            np.array([], dtype=np.int64))
-        pos = np.searchsorted(nodes, reached)
-        new_mask = depth[pos] < 0
-        frontier = reached[new_mask]
-        depth[pos[new_mask]] = r
-
-    keep = depth >= 0
-    return ray.data.from_pandas(pd.DataFrame(
-        {"node": nodes[keep], "depth": depth[keep]}
-    ))
+    return _node_state_ladders(
+        "graphops.bfs_depths", edges, arcs, num_buckets=num_buckets,
+        small=on_driver,
+        large=lambda deg_ds: _bfs_depths_copart(
+            arcs(), deg_ds, seed_mod=seed_mod, rounds=rounds,
+            num_buckets=num_buckets))
 
 
 #: LCG constants for the deterministic walk-step hash (POSIX rand):
@@ -994,8 +993,7 @@ _WALK_C = 12345
 _WALK_M = 2147483647
 
 
-def random_walks(edges, length: int = 3, *, num_buckets: int = 64,
-                 broadcast_cap: int = DEFAULT_BROADCAST_CAP):
+def random_walks(edges, length: int = 3, *, num_buckets: int = 64):
     """Deterministic random walks over a canonical distinct edge table
     (int64 ``u < v``) — the DeepWalk/node2vec corpus-generation step,
     made bit-reproducible: one walk starts at every non-isolated node,
@@ -1006,7 +1004,7 @@ def random_walks(edges, length: int = 3, *, num_buckets: int = 64,
     unrolled join CTEs. Returns a Dataset with columns
     ``(start, c1, ..., c<length>)``, one row per start node.
 
-    Scale shape: under ``broadcast_cap`` the CSR adjacency (sorted
+    Scale shape: under the broadcast cap the CSR adjacency (sorted
     nodes, offsets, dst array) ships once and all ``length`` steps are
     vectorized gathers inside one fused map — zero shuffle; above the
     cap each step is a (cur ⋈ deg) + ((src, rnk) ⋈ adj) bucketed
@@ -1015,7 +1013,6 @@ def random_walks(edges, length: int = 3, *, num_buckets: int = 64,
     import ray
 
     edges = edges.materialize()
-    n_edges = edges.count()
 
     def to_arcs(df: pd.DataFrame) -> pd.DataFrame:
         u = df["u"].to_numpy(np.int64)
@@ -1035,17 +1032,12 @@ def random_walks(edges, length: int = 3, *, num_buckets: int = 64,
 
     cols = ["start"] + [f"c{t}" for t in range(1, length + 1)]
 
-    if n_edges <= broadcast_cap:
+    def broadcast():
         # CSR build on the driver, bounded by 2 x cap arc rows
         pieces = [
             b for b in edges.map_batches(to_arcs, batch_format="pandas")
             .iter_batches(batch_format="pandas", batch_size=None)
         ]
-        if not pieces:
-            import pyarrow as pa
-            return ray.data.from_arrow(pa.table(
-                {c: pa.array([], pa.int64()) for c in cols}
-            ))
         arcs = pd.concat(pieces, ignore_index=True)
         src = arcs["src"].to_numpy(np.int64)
         dst = arcs["dst"].to_numpy(np.int64)
@@ -1075,67 +1067,76 @@ def random_walks(edges, length: int = 3, *, num_buckets: int = 64,
         starts = starts.repartition(max(1, min(num_buckets, len(nodes) // 4096 + 1)))
         return starts.map_batches(walk, batch_format="pandas")
 
-    # ---- above-cap fallback: per-step hash joins over a ranked adjacency
-    arcs = edges.map_batches(to_arcs, batch_format="pandas")
+    def join():
+        # per-step hash joins over a ranked adjacency
+        arcs = edges.map_batches(to_arcs, batch_format="pandas")
 
-    def rank_group(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["src", "dst"], kind="mergesort", ignore_index=True)
-        g = df.groupby("src")
-        df["rnk"] = g.cumcount().astype(np.int64)
-        df["deg"] = g["dst"].transform("size").astype(np.int64)
-        return df
+        def rank_group(df: pd.DataFrame) -> pd.DataFrame:
+            df = df.sort_values(["src", "dst"], kind="mergesort", ignore_index=True)
+            g = df.groupby("src")
+            df["rnk"] = g.cumcount().astype(np.int64)
+            df["deg"] = g["dst"].transform("size").astype(np.int64)
+            return df
 
-    adj = grouped_apply(arcs, "src", rank_group, num_buckets=num_buckets
-                        ).materialize()  # one consumer per step
-    deg = adj.map_batches(
-        lambda df: df.loc[df["rnk"] == 0, ["src", "deg"]].rename(
-            columns={"src": "node"}),
-        batch_format="pandas",
-    ).materialize()
-    frontier = deg.map_batches(
-        lambda df: pd.DataFrame({"start": df["node"].to_numpy(np.int64),
-                                 "cur": df["node"].to_numpy(np.int64)}),
-        batch_format="pandas",
-    )
-    for t in range(1, length + 1):
-        with_deg = hash_join(
-            frontier.map_batches(
-                lambda df: df.rename(columns={"cur": "node"}),
-                batch_format="pandas"),
-            deg, on="node", num_buckets=num_buckets,
-        )
-
-        def pick(df: pd.DataFrame, _t=t) -> pd.DataFrame:
-            cur = df["node"].to_numpy(np.int64)
-            h = (cur * _WALK_A + _t * _WALK_C) % _WALK_M
-            out = df.drop(columns=["deg"]).rename(columns={"node": "src"})
-            out["rnk"] = h % df["deg"].to_numpy(np.int64)
-            return out
-
-        stepped = hash_join(
-            with_deg.map_batches(pick, batch_format="pandas"),
-            adj.map_batches(lambda df: df.drop(columns=["deg"]),
-                            batch_format="pandas"),
-            on=["src", "rnk"], num_buckets=num_buckets,
-        )
-        frontier = stepped.map_batches(
-            lambda df, _t=t: df.drop(columns=["src", "rnk"]).rename(
-                columns={"dst": f"c{_t}"}).assign(cur=df["dst"].to_numpy(np.int64)),
+        adj = grouped_apply(arcs, "src", rank_group, num_buckets=num_buckets
+                            ).materialize()  # one consumer per step
+        deg = adj.map_batches(
+            lambda df: df.loc[df["rnk"] == 0, ["src", "deg"]].rename(
+                columns={"src": "node"}),
             batch_format="pandas",
-        ).repartition(max(1, num_buckets // 8)).materialize()
-    return frontier.map_batches(
-        lambda df: df[cols], batch_format="pandas"
-    )
+        ).materialize()
+        frontier = deg.map_batches(
+            lambda df: pd.DataFrame({"start": df["node"].to_numpy(np.int64),
+                                     "cur": df["node"].to_numpy(np.int64)}),
+            batch_format="pandas",
+        )
+        for t in range(1, length + 1):
+            with_deg = hash_join(
+                frontier.map_batches(
+                    lambda df: df.rename(columns={"cur": "node"}),
+                    batch_format="pandas"),
+                deg, on="node", num_buckets=num_buckets,
+            )
+
+            def pick(df: pd.DataFrame, _t=t) -> pd.DataFrame:
+                cur = df["node"].to_numpy(np.int64)
+                h = (cur * _WALK_A + _t * _WALK_C) % _WALK_M
+                out = df.drop(columns=["deg"]).rename(columns={"node": "src"})
+                out["rnk"] = h % df["deg"].to_numpy(np.int64)
+                return out
+
+            stepped = hash_join(
+                with_deg.map_batches(pick, batch_format="pandas"),
+                adj.map_batches(lambda df: df.drop(columns=["deg"]),
+                                batch_format="pandas"),
+                on=["src", "rnk"], num_buckets=num_buckets,
+            )
+            frontier = stepped.map_batches(
+                lambda df, _t=t: df.drop(columns=["src", "rnk"]).rename(
+                    columns={"dst": f"c{_t}"}).assign(cur=df["dst"].to_numpy(np.int64)),
+                batch_format="pandas",
+            ).repartition(max(1, num_buckets // 8)).materialize()
+        return frontier.map_batches(
+            lambda df: df[cols], batch_format="pandas"
+        )
+
+    n_edges = edges.count()
+    if n_edges == 0:  # an explicit schema (the joins of the large rung need one)
+        import pyarrow as pa
+
+        return ray.data.from_arrow(pa.table({c: pa.array([], pa.int64()) for c in cols}))
+    return ladder("graphops.random_walks", n_edges, DEFAULT_BROADCAST_CAP,
+                  broadcast, join)
 
 
 def _pagerank_copart(arcs, deg_ds, n, *, iters: int, scale: int,
                      damp_num: int, damp_den: int, num_buckets: int):
-    """Co-partitioned PageRank fallback (n_nodes > broadcast_cap): the
+    """Co-partitioned PageRank fallback (n_nodes over the broadcast cap): the
     rank table lives as a Dataset ``(node, r)`` and every round is
     (ranks ⋈ degrees) → per-arc contrib join → bucketed (dst, sum)
     merge → left-join back onto the node set. All int64 floor-division
     arithmetic, so it bit-matches the broadcast path regardless of
-    block layout (pinned by the forced-cap path-equality pytest)."""
+    block layout (pinned by the forced-rung path-equality pytest)."""
     base = (scale * (damp_den - damp_num)) // (damp_den * n)
     r0 = scale // n
 
@@ -1187,7 +1188,6 @@ def _pagerank_copart(arcs, deg_ds, n, *, iters: int, scale: int,
 
 def pagerank_int(edges, *, iters: int = 3, scale: int = 1 << 40,
                  damp_num: int = 85, damp_den: int = 100,
-                 broadcast_cap: int = DEFAULT_BROADCAST_CAP,
                  num_buckets: int = 64):
     """Integer-exact PageRank over an undirected canonical edge table
     (int64 ``u < v``): ``iters`` power-iteration rounds with all-integer
@@ -1203,7 +1203,8 @@ def pagerank_int(edges, *, iters: int = 3, scale: int = 1 << 40,
     SQL-mirrorable by unrolled join-aggregate CTEs — the property the
     float formulation can never have (block-order-dependent float sums).
 
-    Scale shape: under ``broadcast_cap`` the rank vector rides the
+    Scale shape (:func:`_node_state_ladders`): under the broadcast
+    cap the rank vector rides the
     object store as a sorted BroadcastIndex and each round is ONE
     streaming pass over the arcs (per-batch (dst, sum) partials merged
     on the driver, bounded by n_nodes — the same cap the broadcast
@@ -1211,7 +1212,7 @@ def pagerank_int(edges, *, iters: int = 3, scale: int = 1 << 40,
     ranks live as a co-partitioned Dataset and every round is two
     bucketed hash-joins + one grouped sum — no O(n_nodes) worker or
     driver state. Integer arithmetic makes the two paths bit-identical
-    (forced-cap path-equality pytest). Returns a pandas (node, r)
+    (forced-rung path-equality pytest). Returns a pandas (node, r)
     frame (the result is O(n_nodes) by definition; at cluster scale
     consume the co-part path's Dataset upstream of the collect).
     """
@@ -1219,90 +1220,64 @@ def pagerank_int(edges, *, iters: int = 3, scale: int = 1 << 40,
 
     from .joins import BroadcastIndex
 
-    def to_arcs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "src": np.concatenate(
-                    [df["u"].to_numpy(np.int64), df["v"].to_numpy(np.int64)]
-                ),
-                "dst": np.concatenate(
-                    [df["v"].to_numpy(np.int64), df["u"].to_numpy(np.int64)]
-                ),
-            }
-        )
-
     edges = edges.materialize()
-    arcs = edges.map_batches(to_arcs, batch_format="pandas").materialize()
-    # n_nodes <= 2 * n_edges proxy: on the bench path the degree table
-    # comes from the zero-shuffle per-batch-partial + driver merge —
-    # the grouped_apply barrier is paid only when the proxy fails
-    deg = None
-    if edges.count() <= broadcast_cap:
-        cand = _driver_merged_degrees(edges).rename(columns={"deg": "d"})
-        if len(cand) <= broadcast_cap:
-            deg = cand.sort_values("node", ignore_index=True)
-    if deg is None:
-        deg_ds = _arc_degrees_ds(arcs, num_buckets=num_buckets).materialize()
-        n = deg_ds.count()
-        if n > broadcast_cap:
-            ranks_ds = _pagerank_copart(
-                arcs, deg_ds, n, iters=iters, scale=scale,
-                damp_num=damp_num, damp_den=damp_den,
-                num_buckets=num_buckets,
-            )
-            out = pd.concat(
-                [b for b in ranks_ds.iter_batches(batch_format="pandas",
-                                                  batch_size=None)],
-                ignore_index=True,
-            ).sort_values("node", ignore_index=True)
-            return out[["node", "r"]]
-        deg = pd.concat(
-            [b for b in deg_ds.iter_batches(batch_format="pandas",
-                                            batch_size=None)],
-            ignore_index=True,
-        ).sort_values("node", ignore_index=True)
-    n = len(deg)
-    if n == 0:
+    if edges.count() == 0:
         return pd.DataFrame({"node": pd.Series(dtype=np.int64),
                              "r": pd.Series(dtype=np.int64)})
-    nodes = deg["node"].to_numpy(np.int64)
-    degs = deg["d"].to_numpy(np.int64)
-    base = (scale * (damp_den - damp_num)) // (damp_den * n)
-    ranks = np.full(n, scale // n, dtype=np.int64)
+    arcs = edges.map_batches(_both_arcs, batch_format="pandas").materialize()
 
-    for _ in range(iters):
-        idx = BroadcastIndex(nodes, {"c": ranks // degs})
-        cref = ray.put(idx)
+    def on_driver(deg: pd.DataFrame) -> pd.DataFrame:
+        n = len(deg)
+        nodes = deg["node"].to_numpy(np.int64)
+        degs = deg["d"].to_numpy(np.int64)
+        base = (scale * (damp_den - damp_num)) // (damp_den * n)
+        ranks = np.full(n, scale // n, dtype=np.int64)
 
-        def contrib_partial(df: pd.DataFrame) -> pd.DataFrame:
-            ix = ray.get(cref) if isinstance(cref, ray.ObjectRef) else cref
-            c = ix.lookup(df["src"].to_numpy(np.int64), "c")
-            g = pd.DataFrame({"dst": df["dst"].to_numpy(np.int64), "s": c})
-            g = g.groupby("dst", as_index=False)["s"].sum()
-            g["s"] = g["s"].astype(np.int64)
-            return g
+        for _ in range(iters):
+            idx = BroadcastIndex(nodes, {"c": ranks // degs})
+            cref = ray.put(idx)
 
-        parts = [
-            b for b in arcs.map_batches(contrib_partial, batch_format="pandas")
-            .iter_batches(batch_format="pandas", batch_size=None)
-        ]
-        agg = pd.concat(parts, ignore_index=True).groupby("dst", as_index=False)["s"].sum()
-        s = np.zeros(n, dtype=np.int64)
-        pos = np.searchsorted(nodes, agg["dst"].to_numpy(np.int64))
-        s[pos] = agg["s"].to_numpy(np.int64)
-        ranks = base + (damp_num * s) // damp_den
+            def contrib_partial(df: pd.DataFrame) -> pd.DataFrame:
+                ix = ray.get(cref) if isinstance(cref, ray.ObjectRef) else cref
+                c = ix.lookup(df["src"].to_numpy(np.int64), "c")
+                g = pd.DataFrame({"dst": df["dst"].to_numpy(np.int64), "s": c})
+                g = g.groupby("dst", as_index=False)["s"].sum()
+                g["s"] = g["s"].astype(np.int64)
+                return g
 
-    return pd.DataFrame({"node": nodes, "r": ranks})
+            parts = [
+                b for b in arcs.map_batches(contrib_partial, batch_format="pandas")
+                .iter_batches(batch_format="pandas", batch_size=None)
+            ]
+            agg = pd.concat(parts, ignore_index=True).groupby("dst", as_index=False)["s"].sum()
+            s = np.zeros(n, dtype=np.int64)
+            pos = np.searchsorted(nodes, agg["dst"].to_numpy(np.int64))
+            s[pos] = agg["s"].to_numpy(np.int64)
+            ranks = base + (damp_num * s) // damp_den
+
+        return pd.DataFrame({"node": nodes, "r": ranks})
+
+    def co_partitioned(deg_ds) -> pd.DataFrame:
+        ranks_ds = _pagerank_copart(
+            arcs, deg_ds, deg_ds.count(), iters=iters, scale=scale,
+            damp_num=damp_num, damp_den=damp_den, num_buckets=num_buckets,
+        )
+        out = _dataset_to_table(ranks_ds, ["node", "r"]).to_pandas()
+        return out.sort_values("node", ignore_index=True)
+
+    return _node_state_ladders(
+        "graphops.pagerank_int", edges, lambda: arcs, num_buckets=num_buckets,
+        small=on_driver, large=co_partitioned)
 
 
 def _sssp_copart(arcs_w, nodes_ds, *, seed_mod: int, rounds: int,
                  num_buckets: int):
     """Co-partitioned bounded Bellman-Ford fallback (n_nodes >
-    broadcast_cap): the distance table stays a Dataset; every round is
+    the broadcast cap): the distance table stays a Dataset; every round is
     (changed frontier ⋈ weighted arcs on src) + a bucketed min-merge
     that also DETECTS improvement (new < old) to form the next
     frontier — no O(n_nodes) driver state. Bit-matches the broadcast
-    path (forced-cap path-equality pytest)."""
+    path (forced-rung path-equality pytest)."""
     from .sampling import split_hash
 
     big = np.int64(1 << 62)
@@ -1375,9 +1350,7 @@ def _sssp_copart(arcs_w, nodes_ds, *, seed_mod: int, rounds: int,
 
 
 def sssp_rounds(edges, *, seed_mod: int = 97, rounds: int = 4,
-                weight_mod: int = 9,
-                broadcast_cap: int = DEFAULT_BROADCAST_CAP,
-                num_buckets: int = 64):
+                weight_mod: int = 9, num_buckets: int = 64):
     """Bounded multi-source WEIGHTED shortest paths (Bellman-Ford
     relaxation rounds) over a canonical distinct edge table (int64
     ``u < v``): weight w(u, v) = 1 + (u + v) % ``weight_mod`` — a pure
@@ -1390,10 +1363,11 @@ def sssp_rounds(edges, *, seed_mod: int = 97, rounds: int = 4,
     Frontier-optimized: only nodes IMPROVED in the previous round
     relax their arcs — identical to full relaxation because distances
     are monotone non-increasing and an unimproved node's contribution
-    was already integrated. Under ``broadcast_cap`` the changed set
-    ships per round as sorted (nodes, dists) arrays with per-batch
-    partial mins; above it, :func:`_sssp_copart` keeps the distance
-    table distributed (same shape as the BFS fallback)."""
+    was already integrated. Under the broadcast cap
+    (:func:`_node_state_ladders`) the changed set ships per round as
+    sorted (nodes, dists) arrays with per-batch partial mins; above it,
+    :func:`_sssp_copart` keeps the distance table distributed (same
+    shape as the BFS fallback)."""
     from .sampling import check_hash_mod
 
     check_hash_mod(seed_mod, "seed_mod")
@@ -1402,12 +1376,6 @@ def sssp_rounds(edges, *, seed_mod: int = 97, rounds: int = 4,
     from .sampling import split_hash
 
     edges = edges.materialize()
-    nodes = None
-    if edges.count() <= broadcast_cap:
-        cand = np.sort(
-            _driver_merged_degrees(edges)["node"].to_numpy(np.int64))
-        if len(cand) <= broadcast_cap:
-            nodes = cand
 
     def to_arcs(df: pd.DataFrame) -> pd.DataFrame:
         u = df["u"].to_numpy(np.int64)
@@ -1419,71 +1387,68 @@ def sssp_rounds(edges, *, seed_mod: int = 97, rounds: int = 4,
             "w": np.concatenate([w, w]),
         })
 
-    if nodes is None:
-        arcs = edges.map_batches(to_arcs,
-                                 batch_format="pandas").materialize()
-        nodes_ds = _arc_degrees_ds(arcs, num_buckets=num_buckets).map_batches(
-            lambda df: df[["node"]], batch_format="pandas"
-        ).materialize()
-        if nodes_ds.count() > broadcast_cap:
-            return _sssp_copart(arcs, nodes_ds, seed_mod=seed_mod,
-                                rounds=rounds, num_buckets=num_buckets)
-        nodes = np.sort(np.concatenate(
-            [b["node"].to_numpy(np.int64) for b in nodes_ds.iter_batches(
-                batch_format="pandas", batch_size=None)]
-            or [np.array([], dtype=np.int64)]
+    arcs = functools.cache(
+        lambda: edges.map_batches(to_arcs, batch_format="pandas").materialize())
+
+    def on_driver(deg: pd.DataFrame):
+        nodes = deg["node"].to_numpy(np.int64)
+        big = np.int64(1 << 62)
+        dist = np.full(len(nodes), big, dtype=np.int64)
+        seeds = nodes[split_hash(nodes) % seed_mod == 0]
+        dist[np.searchsorted(nodes, seeds)] = 0
+        changed = seeds
+        for _r in range(rounds):
+            if len(changed) == 0:
+                break
+            order = np.argsort(changed)
+            csort = changed[order]
+            cdist = dist[np.searchsorted(nodes, csort)]
+            fref = ray.put((csort, cdist))
+
+            def relax(df: pd.DataFrame, _f=fref) -> pd.DataFrame:
+                f, fd = ray.get(_f) if isinstance(_f, ray.ObjectRef) else _f
+                u = df["u"].to_numpy(np.int64)
+                v = df["v"].to_numpy(np.int64)
+                w = 1 + (u + v) % np.int64(weight_mod)
+                outs_n, outs_d = [], []
+                # f is never empty here: the round loop breaks on an
+                # empty changed set before shipping it
+                for a, b in ((u, v), (v, u)):
+                    ia = np.minimum(np.searchsorted(f, a), len(f) - 1)
+                    hit = f[ia] == a
+                    outs_n.append(b[hit])
+                    outs_d.append(fd[ia[hit]] + w[hit])
+                t = pd.DataFrame({"node": np.concatenate(outs_n),
+                                  "d": np.concatenate(outs_d)})
+                g = t.groupby("node", as_index=False)["d"].min()
+                g["d"] = g["d"].astype(np.int64)
+                return g
+
+            pieces = [
+                b for b in edges.map_batches(relax, batch_format="pandas")
+                .iter_batches(batch_format="pandas", batch_size=None)
+            ]
+            if not pieces:
+                break
+            cand = (pd.concat(pieces, ignore_index=True)
+                    .groupby("node", as_index=False)["d"].min())
+            pos = np.searchsorted(nodes, cand["node"].to_numpy(np.int64))
+            nd = cand["d"].to_numpy(np.int64)
+            better = nd < dist[pos]
+            dist[pos[better]] = nd[better]
+            changed = cand["node"].to_numpy(np.int64)[better]
+
+        keep = dist < big
+        return ray.data.from_pandas(pd.DataFrame(
+            {"node": nodes[keep], "dist": dist[keep]}
         ))
 
-    big = np.int64(1 << 62)
-    dist = np.full(len(nodes), big, dtype=np.int64)
-    seeds = nodes[split_hash(nodes) % seed_mod == 0]
-    dist[np.searchsorted(nodes, seeds)] = 0
-    changed = seeds
-    for _r in range(rounds):
-        if len(changed) == 0:
-            break
-        order = np.argsort(changed)
-        csort = changed[order]
-        cdist = dist[np.searchsorted(nodes, csort)]
-        fref = ray.put((csort, cdist))
-
-        def relax(df: pd.DataFrame, _f=fref) -> pd.DataFrame:
-            f, fd = ray.get(_f) if isinstance(_f, ray.ObjectRef) else _f
-            u = df["u"].to_numpy(np.int64)
-            v = df["v"].to_numpy(np.int64)
-            w = 1 + (u + v) % np.int64(weight_mod)
-            outs_n, outs_d = [], []
-            # f is never empty here: the round loop breaks on an
-            # empty changed set before shipping it
-            for a, b in ((u, v), (v, u)):
-                ia = np.minimum(np.searchsorted(f, a), len(f) - 1)
-                hit = f[ia] == a
-                outs_n.append(b[hit])
-                outs_d.append(fd[ia[hit]] + w[hit])
-            t = pd.DataFrame({"node": np.concatenate(outs_n),
-                              "d": np.concatenate(outs_d)})
-            g = t.groupby("node", as_index=False)["d"].min()
-            g["d"] = g["d"].astype(np.int64)
-            return g
-
-        pieces = [
-            b for b in edges.map_batches(relax, batch_format="pandas")
-            .iter_batches(batch_format="pandas", batch_size=None)
-        ]
-        if not pieces:
-            break
-        cand = (pd.concat(pieces, ignore_index=True)
-                .groupby("node", as_index=False)["d"].min())
-        pos = np.searchsorted(nodes, cand["node"].to_numpy(np.int64))
-        nd = cand["d"].to_numpy(np.int64)
-        better = nd < dist[pos]
-        dist[pos[better]] = nd[better]
-        changed = cand["node"].to_numpy(np.int64)[better]
-
-    keep = dist < big
-    return ray.data.from_pandas(pd.DataFrame(
-        {"node": nodes[keep], "dist": dist[keep]}
-    ))
+    return _node_state_ladders(
+        "graphops.sssp_rounds", edges, arcs, num_buckets=num_buckets,
+        small=on_driver,
+        large=lambda deg_ds: _sssp_copart(
+            arcs(), deg_ds, seed_mod=seed_mod, rounds=rounds,
+            num_buckets=num_buckets))
 
 
 # ------------------------------------------------------------------- HITS
@@ -1509,7 +1474,6 @@ def _hits_arc_degrees(arcs, col: str, num_buckets: int) -> "pd.DataFrame":
 
 
 def hits_int(arcs, *, iters: int = 2, scale: int = 1 << 20,
-             broadcast_cap: int = DEFAULT_BROADCAST_CAP,
              num_buckets: int = 64):
     """Integer-exact HITS (hubs & authorities) over a DIRECTED arc
     table ``(src, dst)`` int64. Classic HITS L2-normalizes each round
@@ -1526,13 +1490,13 @@ def hits_int(arcs, *, iters: int = 2, scale: int = 1 << 20,
     needs max_deg * scale^2 < 2^63 — the default 2^20 scale is safe to
     max degree 2^22 (guarded below).
 
-    Scale shape mirrors :func:`pagerank_int`: under ``broadcast_cap``
+    Scale shape mirrors :func:`pagerank_int`: under the broadcast cap
     the score vector ships once per half-round as a BroadcastIndex and
     each half-round is ONE streaming pass over the arcs (per-batch
     (node, sum) partials, driver merge bounded by n_nodes); above the
     cap scores live as a co-partitioned Dataset and each half-round is
     a bucketed hash-join + grouped sum (no O(n) driver state) — the
-    round max is a per-block max partial either way. Forced-cap
+    round max is a per-block max partial either way. Forced-rung
     path-equality pytest pins both bit-identical. Returns pandas
     (node, auth, hub) sorted by node.
     """
@@ -1555,7 +1519,7 @@ def hits_int(arcs, *, iters: int = 2, scale: int = 1 << 20,
     if max_deg * scale * scale >= (1 << 63):
         raise ValueError(f"scale {scale} overflows at max degree {max_deg}")
 
-    if n <= broadcast_cap:
+    def on_driver():
         hub = np.full(n, scale, dtype=np.int64)
         auth = np.zeros(n, dtype=np.int64)
 
@@ -1590,60 +1554,60 @@ def hits_int(arcs, *, iters: int = 2, scale: int = 1 << 20,
             hub = half_round(auth, "dst", "src")
         return pd.DataFrame({"node": nodes, "auth": auth, "hub": hub})
 
-    # ---- co-partitioned path: scores live as a Dataset -------------
-    nodes_ds = ray.data.from_pandas(pd.DataFrame({"node": nodes})).materialize()
+    def co_partitioned():
+        # scores live as a Dataset: no O(n) driver state per round
+        nodes_ds = ray.data.from_pandas(pd.DataFrame({"node": nodes})).materialize()
 
-    def sum_s(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", as_index=False)["s"].sum()
-        g["s"] = g["s"].astype(np.int64)
-        return g
+        def sum_s(df: pd.DataFrame) -> pd.DataFrame:
+            g = df.groupby("node", as_index=False)["s"].sum()
+            g["s"] = g["s"].astype(np.int64)
+            return g
 
-    def half_round_ds(scores, src_col: str, dst_col: str):
-        per_arc = hash_join(
-            arcs.map_batches(
-                lambda df, s=src_col, d=dst_col: pd.DataFrame({
-                    "node": df[s].to_numpy(np.int64),
-                    "__dst": df[d].to_numpy(np.int64)}),
-                batch_format="pandas"),
-            scores, on="node", num_buckets=num_buckets)
-        sums = grouped_apply(
-            per_arc.map_batches(
-                lambda df: pd.DataFrame({
-                    "node": df["__dst"].to_numpy(np.int64),
-                    "s": df["x"].to_numpy(np.int64)}),
-                batch_format="pandas"),
-            "node", sum_s, num_buckets=num_buckets, drop_partial=sum_s)
-        sums = sums.materialize()
-        parts = [b["m"] for b in sums.map_batches(
-            lambda df: pd.DataFrame({"m": [np.int64(df["s"].max()) if len(df) else np.int64(0)]}),
-            batch_format="pandas").iter_batches(batch_format="pandas",
-                                                batch_size=None)]
-        m = int(max((int(p.max()) for p in parts if len(p)), default=0))
-        out = hash_join(nodes_ds, sums, on="node", how="left",
-                        num_buckets=num_buckets)
-        return out.map_batches(
-            lambda df, mm=m: pd.DataFrame({
-                "node": df["node"].to_numpy(np.int64),
-                "x": ((df["s"].fillna(0).astype(np.int64).to_numpy(np.int64)
-                       * scale) // mm) if mm > 0
-                else np.zeros(len(df), np.int64)}),
-            batch_format="pandas",
-        ).repartition(max(1, num_buckets // 8)).materialize()
+        def half_round_ds(scores, src_col: str, dst_col: str):
+            per_arc = hash_join(
+                arcs.map_batches(
+                    lambda df, s=src_col, d=dst_col: pd.DataFrame({
+                        "node": df[s].to_numpy(np.int64),
+                        "__dst": df[d].to_numpy(np.int64)}),
+                    batch_format="pandas"),
+                scores, on="node", num_buckets=num_buckets)
+            sums = grouped_apply(
+                per_arc.map_batches(
+                    lambda df: pd.DataFrame({
+                        "node": df["__dst"].to_numpy(np.int64),
+                        "s": df["x"].to_numpy(np.int64)}),
+                    batch_format="pandas"),
+                "node", sum_s, num_buckets=num_buckets, drop_partial=sum_s)
+            sums = sums.materialize()
+            parts = [b["m"] for b in sums.map_batches(
+                lambda df: pd.DataFrame({"m": [np.int64(df["s"].max()) if len(df) else np.int64(0)]}),
+                batch_format="pandas").iter_batches(batch_format="pandas",
+                                                    batch_size=None)]
+            m = int(max((int(p.max()) for p in parts if len(p)), default=0))
+            out = hash_join(nodes_ds, sums, on="node", how="left",
+                            num_buckets=num_buckets)
+            return out.map_batches(
+                lambda df, mm=m: pd.DataFrame({
+                    "node": df["node"].to_numpy(np.int64),
+                    "x": ((df["s"].fillna(0).astype(np.int64).to_numpy(np.int64)
+                           * scale) // mm) if mm > 0
+                    else np.zeros(len(df), np.int64)}),
+                batch_format="pandas",
+            ).repartition(max(1, num_buckets // 8)).materialize()
 
-    hub_ds = nodes_ds.map_batches(
-        lambda df: df.assign(x=np.int64(scale)), batch_format="pandas")
-    auth_ds = None
-    for _ in range(iters):
-        auth_ds = half_round_ds(hub_ds, "src", "dst")
-        hub_ds = half_round_ds(auth_ds, "dst", "src")
-    a = pd.concat([b for b in auth_ds.iter_batches(batch_format="pandas",
-                                                   batch_size=None)],
-                  ignore_index=True).rename(columns={"x": "auth"})
-    h = pd.concat([b for b in hub_ds.iter_batches(batch_format="pandas",
-                                                  batch_size=None)],
-                  ignore_index=True).rename(columns={"x": "hub"})
-    out = a.merge(h, on="node").sort_values("node", ignore_index=True)
-    return out[["node", "auth", "hub"]]
+        hub_ds = nodes_ds.map_batches(
+            lambda df: df.assign(x=np.int64(scale)), batch_format="pandas")
+        auth_ds = None
+        for _ in range(iters):
+            auth_ds = half_round_ds(hub_ds, "src", "dst")
+            hub_ds = half_round_ds(auth_ds, "dst", "src")
+        a = _dataset_to_table(auth_ds).to_pandas().rename(columns={"x": "auth"})
+        h = _dataset_to_table(hub_ds).to_pandas().rename(columns={"x": "hub"})
+        out = a.merge(h, on="node").sort_values("node", ignore_index=True)
+        return out[["node", "auth", "hub"]]
+
+    return ladder("graphops.hits_int", n, DEFAULT_BROADCAST_CAP, on_driver,
+                  co_partitioned)
 
 
 # -------------------------------------------------------- link prediction
@@ -1749,9 +1713,7 @@ def link_prediction(edges, *, scale: int = 1 << 20, min_common: int = 1,
 # ------------------------------------------------------- assortativity
 
 
-def degree_assortativity_stats(edges, *,
-                               broadcast_cap: int = DEFAULT_BROADCAST_CAP,
-                               num_buckets: int = 64) -> pd.DataFrame:
+def degree_assortativity_stats(edges, *, num_buckets: int = 64) -> pd.DataFrame:
     """Degree-assortativity SUFFICIENT STATISTICS over a canonical
     undirected edge table (int64 ``u < v``): for every ARC (both
     orientations, the standard symmetrization) with endpoint degrees
@@ -1764,10 +1726,10 @@ def degree_assortativity_stats(edges, *,
     the register-table trick applied to graph mixing: the distributed
     output is pure integer sums, order-free and SQL-mirrorable.
 
-    Scale shape: degrees broadcast under ``broadcast_cap`` (one fused
-    pass over the edges, per-batch partial sums); above the cap two
-    bucketed hash-joins attach du/dv and the same partials merge —
-    forced-cap pytest pins the paths bit-equal."""
+    Scale shape (:func:`_node_state_ladders`): degrees broadcast under
+    the cap (one fused pass over the edges, per-batch partial sums);
+    above the cap two bucketed hash-joins attach du/dv and the same
+    partials merge — forced-rung pytest pins the paths bit-equal."""
     import ray
 
     from .joins import BroadcastIndex
@@ -1784,14 +1746,10 @@ def degree_assortativity_stats(edges, *,
             "s_vv": [np.int64((b * b).sum())]})
 
     edges = edges.materialize()
-    deg = None
-    if edges.count() <= broadcast_cap:
-        cand = _driver_merged_degrees(edges)
-        if len(cand) <= broadcast_cap:
-            deg = cand.sort_values("node", ignore_index=True)
-    if deg is not None:
+
+    def broadcast(deg: pd.DataFrame) -> pd.DataFrame:
         idx = BroadcastIndex(deg["node"].to_numpy(np.int64),
-                             {"d": deg["deg"].to_numpy(np.int64)})
+                             {"d": deg["d"].to_numpy(np.int64)})
         ref = ray.put(idx)
 
         def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1800,18 +1758,11 @@ def degree_assortativity_stats(edges, *,
             dv = ix.lookup(df["v"].to_numpy(np.int64), "d")
             return arc_stats(du, dv)
 
-        parts = edges.map_batches(partial, batch_format="pandas").to_pandas()
-    else:
-        # never collects the degree table: distributed (node, d) + two
-        # bucketed hash-joins attach endpoint degrees
-        arcs = edges.map_batches(
-            lambda df: pd.DataFrame({
-                "src": np.concatenate([df["u"].to_numpy(np.int64),
-                                       df["v"].to_numpy(np.int64)]),
-                "dst": np.concatenate([df["v"].to_numpy(np.int64),
-                                       df["u"].to_numpy(np.int64)])}),
-            batch_format="pandas")
-        deg_ds = _arc_degrees_ds(arcs, num_buckets=num_buckets).materialize()
+        return edges.map_batches(partial, batch_format="pandas").to_pandas()
+
+    def join(deg_ds) -> pd.DataFrame:
+        # never collects the degree table: two bucketed hash-joins
+        # attach endpoint degrees
         j1 = hash_join(
             edges, deg_ds.map_batches(
                 lambda df: pd.DataFrame({
@@ -1826,12 +1777,16 @@ def degree_assortativity_stats(edges, *,
                     "dv": df["d"].to_numpy(np.int64)}),
                 batch_format="pandas"),
             on="v", num_buckets=num_buckets)
-        parts = j2.map_batches(
+        return j2.map_batches(
             lambda df: arc_stats(df["du"].to_numpy(np.int64),
                                  df["dv"].to_numpy(np.int64)),
             batch_format="pandas").to_pandas()
 
-    if not len(parts):
+    if edges.count() == 0:
         return pd.DataFrame({c: [np.int64(0)] for c in cols})
+    parts = _node_state_ladders(
+        "graphops.degree_assortativity_stats", edges,
+        lambda: edges.map_batches(_both_arcs, batch_format="pandas"),
+        num_buckets=num_buckets, small=broadcast, large=join)
     out = parts[cols].sum()
     return pd.DataFrame({c: [np.int64(out[c])] for c in cols})

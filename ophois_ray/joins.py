@@ -20,6 +20,9 @@ processes (unlike Python ``hash`` under PYTHONHASHSEED).
 
 from __future__ import annotations
 
+import contextlib
+from collections import deque
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -27,6 +30,56 @@ import pyarrow as pa
 import ray
 
 DEFAULT_BROADCAST_CAP = 5_000_000  # rows
+_SINGLE_TASK_CAP = 4_000_000  # deduped rows ``distinct_rows`` merges in one task
+LADDER_LOG_MAX = 4096  # rung decisions kept: a long-lived driver keeps the latest
+
+_LADDER_LOG: deque = deque(maxlen=LADDER_LOG_MAX)
+_FORCED: dict = {}  # ladder name (or "*" for every ladder) -> forced rung
+
+
+def ladder(name: str, size: int, cap: int, small, large):
+    """The one rung switch: run ``small()`` when the measured ``size``
+    fits ``cap``, else ``large()`` — two physical plans for one result,
+    so both rungs return the same type. Every decision is recorded as
+    ``{"name", "size", "cap", "rung"}`` (see :func:`ladder_log`). The
+    rung is chosen on the driver; :func:`forced_rung` overrides it."""
+    rung = _FORCED.get(name) or _FORCED.get("*") or (
+        "small" if size <= cap else "large")
+    _LADDER_LOG.append({"name": name, "size": int(size), "cap": int(cap),
+                        "rung": rung})
+    return small() if rung == "small" else large()
+
+
+@contextlib.contextmanager
+def forced_rung(rung: str, *names: str):
+    """Force every ladder — or only the named ones — onto ``rung``
+    ("small" or "large") inside the block, for rung-parity tests; a
+    named force beats a blanket one, so one ladder can differ."""
+    if rung not in ("small", "large"):
+        raise ValueError(f"rung must be 'small' or 'large', not {rung!r}")
+    saved = dict(_FORCED)
+    _FORCED.update(dict.fromkeys(names or ("*",), rung))
+    try:
+        yield
+    finally:
+        _FORCED.clear()
+        _FORCED.update(saved)
+
+
+def ladder_log() -> list[dict]:
+    """The recorded rung decisions, oldest first (at most ``LADDER_LOG_MAX``)."""
+    return list(_LADDER_LOG)
+
+
+_TASKS: dict = {}
+
+
+def _task(fn):
+    """``ray.remote(fn)``, created once per process (library code must
+    not touch Ray at import time)."""
+    if fn not in _TASKS:
+        _TASKS[fn] = ray.remote(fn)
+    return _TASKS[fn]
 
 
 def stable_hash(values) -> np.ndarray:
@@ -158,13 +211,12 @@ def grouped_apply(ds, keys, fn, *, num_buckets: int = 64, drop_partial=None):
     )
 
 
-def distinct_rows(ds, keys, *, single_task_cap: int = 4_000_000,
-                  num_buckets: int = 64, out_blocks: int | None = None):
+def distinct_rows(ds, keys, *, num_buckets: int = 64, out_blocks: int | None = None):
     """DISTINCT over ``keys`` (whole rows, first occurrence per key is
     arbitrary but the key set is exact) with the repo's capped ladder:
 
     per-block partial ``drop_duplicates`` (shrinks the exchange), then
-    — when the partially-deduped row count fits ``single_task_cap`` —
+    — when the partially-deduped row count fits ``_SINGLE_TASK_CAP`` —
     one narrow ``repartition(1)`` merge task + a split back to
     ``out_blocks`` for downstream parallelism, instead of a keyed
     sort exchange. The sort-based ``grouped_apply`` path costs ~3 s of
@@ -172,8 +224,8 @@ def distinct_rows(ds, keys, *, single_task_cap: int = 4_000_000,
     the 1.2M-edge co-purchase build: sub-operator wall time ~0.5 s,
     the rest scheduling) where the narrow merge is two cheap block
     moves. Above the cap it falls back to the bucketed
-    ``grouped_apply`` — the scalable path; a forced ``single_task_cap=0``
-    pytest pins both paths to identical row sets.
+    ``grouped_apply`` — the scalable path; a forced-rung pytest pins
+    both paths to identical row sets.
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
 
@@ -181,10 +233,11 @@ def distinct_rows(ds, keys, *, single_task_cap: int = 4_000_000,
         return df.drop_duplicates(keys)
 
     pruned = ds.map_batches(part, batch_format="pandas").materialize()
-    if pruned.count() <= single_task_cap:
-        merged = pruned.repartition(1).map_batches(part, batch_format="pandas")
-        return merged.repartition(out_blocks or num_buckets)
-    return grouped_apply(pruned, keys, part, num_buckets=num_buckets)
+    return ladder(
+        "joins.distinct_rows", pruned.count(), _SINGLE_TASK_CAP,
+        lambda: pruned.repartition(1).map_batches(part, batch_format="pandas")
+        .repartition(out_blocks or num_buckets),
+        lambda: grouped_apply(pruned, keys, part, num_buckets=num_buckets))
 
 
 def hash_join(

@@ -40,7 +40,7 @@ import pandas as pd
 import pyarrow as pa
 
 
-from .joins import stable_hash
+from .joins import _task, stable_hash
 
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.S)
 _SCRIPT_RE = re.compile(r"<script\b.*?</script\s*>", re.S | re.I)
@@ -260,15 +260,18 @@ def _build_winner_arrays_impl(*tables):
     """Assemble the sorted winner broadcast from pass A's key blocks.
 
     Runs as a Ray task (never on the driver): returns (a) sorted
-    fixed-width numpy url array + int64 win_ts array — deserialization
-    on each worker is a buffer read, lookups are one searchsorted per
-    batch — and (b) the tiny {url: win_ts} dict of urls whose minimum
-    timestamp is shared by >1 row (the pass-A2 tie set)."""
+    object-dtype url array + int64 win_ts array — lookups are one
+    searchsorted per batch — and (b) the tiny {url: win_ts} dict of
+    urls whose minimum timestamp is shared by >1 row (the pass-A2 tie
+    set). Object dtype, not fixed-width unicode: a ``<U`` array sizes
+    every url by the longest one (one 2,020-character url among 16k of
+    ~34 characters: 130 MB instead of 2.2 MB); object arrays follow the
+    total url bytes."""
     live = [t for t in tables if t.num_rows]
     if not live:
-        return (np.array([], dtype=str), np.array([], dtype=np.int64)), {}
+        return (np.array([], dtype=object), np.array([], dtype=np.int64)), {}
     tbl = pa.concat_tables(live, promote_options="default")
-    urls = np.asarray(tbl["url"].to_pandas(), dtype=str)
+    urls = tbl["url"].to_numpy(zero_copy_only=False)
     ts = np.asarray(tbl["win_ts"].to_pandas(), dtype=np.int64)
     n_at_win = np.asarray(tbl["n_at_win"].to_pandas(), dtype=np.int64)
     # exact per-url merge of rows that repeat a url within and across
@@ -293,29 +296,6 @@ def _build_winner_arrays_impl(*tables):
     return (win_urls, win_ts), {
         str(u): int(t) for u, t in zip(win_urls[tied], win_ts[tied])
     }
-
-
-def _get_build_winner_task():
-    import ray
-
-    global _BUILD_WINNER_TASK
-    if _BUILD_WINNER_TASK is None:
-        _BUILD_WINNER_TASK = ray.remote(num_returns=2)(_build_winner_arrays_impl)
-    return _BUILD_WINNER_TASK
-
-
-_BUILD_WINNER_TASK = None
-
-
-class _BuildWinnerProxy:
-    """Late-bound ray.remote wrapper (library code must not import-time
-    touch an uninitialised Ray)."""
-
-    def options(self, **kw):
-        return _get_build_winner_task().options(**kw)
-
-
-_build_winner_broadcast = _BuildWinnerProxy()
 
 
 def dedup_pages(pages, *, strategy: str = "broadcast", num_buckets: int = 64,
@@ -388,12 +368,11 @@ def dedup_pages(pages, *, strategy: str = "broadcast", num_buckets: int = 64,
     src = key_source if key_source is not None else pages
     refs = src.map_batches(_winner_rows, batch_format="pyarrow").to_arrow_refs()
     if refs:
-        winner_ref, ties_ref = _build_winner_broadcast.options(num_returns=2).remote(
-            *refs
-        )
+        winner_ref, ties_ref = _task(_build_winner_arrays_impl).options(
+            num_returns=2).remote(*refs)
         tie_win_ts = ray.get(ties_ref)  # {url: win_ts} for tied urls only (tiny)
     else:
-        winner_ref = ray.put((np.array([], dtype=str), np.array([], dtype=np.int64)))
+        winner_ref = ray.put((np.array([], dtype=object), np.array([], dtype=np.int64)))
         tie_win_ts = {}
     tie_urls = set(tie_win_ts)
 
@@ -440,7 +419,7 @@ def dedup_pages(pages, *, strategy: str = "broadcast", num_buckets: int = 64,
         # a null url would otherwise match a winner url "None"
         if t["url"].null_count or t["warc_ts"].null_count:
             t = t.filter(_key_valid(t))
-        urls = np.asarray(t["url"].to_pylist(), dtype=str)
+        urls = t["url"].to_numpy(zero_copy_only=False)
         ts = t["warc_ts"].cast(pa.int64()).to_numpy()
         pos = np.searchsorted(w_urls, urls)
         pos = np.minimum(pos, len(w_urls) - 1)
@@ -770,8 +749,7 @@ def _redirect_kernel(src: np.ndarray, dst: np.ndarray, max_hops: int):
 
 
 def resolve_redirects(edges, *, src_col: str = "src", dst_col: str = "dst",
-                      max_hops: int = 64, broadcast_cap: int | None = None,
-                      num_buckets: int = 32):
+                      max_hops: int = 64, num_buckets: int = 32):
     """Collapse HTTP redirect chains: every source url-id resolves to
     its terminal target (a node with no outgoing redirect) plus the
     exact hop count — the crawl frontier's 3xx-chain dedup step.
@@ -779,7 +757,7 @@ def resolve_redirects(edges, *, src_col: str = "src", dst_col: str = "dst",
     a well-formed redirect map is functional anyway).
 
     Hybrid exchange ladder (repo pattern, cf.
-    ``components.connected_components_auto``): under ``broadcast_cap``
+    ``components.connected_components_auto``): under the broadcast cap
     edges the two bare int64 key columns ship to one process and the
     whole fixpoint runs in ``_redirect_kernel`` — log2(max_hops)
     searchsorted rounds, no per-round barriers. Above the cap the same
@@ -790,7 +768,7 @@ def resolve_redirects(edges, *, src_col: str = "src", dst_col: str = "dst",
     longer than the doubling horizon — 2^rounds >= max_hops + 1 hops,
     rounds = ceil(log2(max_hops + 1)) — emit (-1, -1); cycles never
     resolve, so any ``max_hops`` >= the longest legal chain flags them
-    exactly. A forced-cap pytest pins both paths row-identical, cycles
+    exactly. A forced-rung pytest pins both paths row-identical, cycles
     included.
 
     Returns a Dataset ``(src, final, hops)`` — one row per distinct
@@ -798,11 +776,14 @@ def resolve_redirects(edges, *, src_col: str = "src", dst_col: str = "dst",
     import pyarrow as pa
     import ray
 
-    from .joins import DEFAULT_BROADCAST_CAP, grouped_apply, hash_join
+    from .joins import DEFAULT_BROADCAST_CAP, grouped_apply, hash_join, ladder
 
-    cap = DEFAULT_BROADCAST_CAP if broadcast_cap is None else broadcast_cap
     narrow = edges.select_columns([src_col, dst_col]).materialize()
-    if narrow.count() <= cap:
+    if narrow.count() == 0:  # the joins of the doubling rung need a schema
+        return ray.data.from_arrow(pa.table(
+            {c: pa.array([], pa.int64()) for c in ("src", "final", "hops")}))
+
+    def on_driver():
         ss, ds_ = [], []
         for b in narrow.iter_batches(batch_format="numpy", batch_size=None):
             ss.append(np.asarray(b[src_col], dtype=np.int64))
@@ -821,57 +802,61 @@ def resolve_redirects(edges, *, src_col: str = "src", dst_col: str = "dst",
             "hops": pa.array(hops, pa.int64()),
         }))
 
-    def dedupe(df: pd.DataFrame) -> pd.DataFrame:
-        g = (df.groupby(src_col, as_index=False)[dst_col].min())
-        return pd.DataFrame({
-            "node": g[src_col].to_numpy(np.int64),
-            "cur": g[dst_col].to_numpy(np.int64),
-            "hops": np.ones(len(g), dtype=np.int64),
-        })
+    def doubling():
+        def dedupe(df: pd.DataFrame) -> pd.DataFrame:
+            g = (df.groupby(src_col, as_index=False)[dst_col].min())
+            return pd.DataFrame({
+                "node": g[src_col].to_numpy(np.int64),
+                "cur": g[dst_col].to_numpy(np.int64),
+                "hops": np.ones(len(g), dtype=np.int64),
+            })
 
-    m = grouped_apply(narrow, src_col, dedupe, num_buckets=num_buckets)
+        m = grouped_apply(narrow, src_col, dedupe, num_buckets=num_buckets)
 
-    def as_right(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "cur": df["node"].to_numpy(np.int64),
-            "__c": df["cur"].to_numpy(np.int64),
-            "__h": df["hops"].to_numpy(np.int64),
-        })
+        def as_right(df: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame({
+                "cur": df["node"].to_numpy(np.int64),
+                "__c": df["cur"].to_numpy(np.int64),
+                "__h": df["hops"].to_numpy(np.int64),
+            })
 
-    def step(df: pd.DataFrame) -> pd.DataFrame:
-        cur = df["cur"].to_numpy(np.int64).copy()
-        hops = df["hops"].to_numpy(np.int64).copy()
-        hit = df["__h"].notna().to_numpy()
-        # left-join misses arrive float64 (NaN padding); ids < 2^53
-        cur[hit] = df["__c"].to_numpy(np.float64)[hit].astype(np.int64)
-        hops[hit] += df["__h"].to_numpy(np.float64)[hit].astype(np.int64)
-        return pd.DataFrame({
-            "node": df["node"].to_numpy(np.int64), "cur": cur, "hops": hops})
+        def step(df: pd.DataFrame) -> pd.DataFrame:
+            cur = df["cur"].to_numpy(np.int64).copy()
+            hops = df["hops"].to_numpy(np.int64).copy()
+            hit = df["__h"].notna().to_numpy()
+            # left-join misses arrive float64 (NaN padding); ids < 2^53
+            cur[hit] = df["__c"].to_numpy(np.float64)[hit].astype(np.int64)
+            hops[hit] += df["__h"].to_numpy(np.float64)[hit].astype(np.int64)
+            return pd.DataFrame({
+                "node": df["node"].to_numpy(np.int64), "cur": cur, "hops": hops})
 
-    rounds = int(max(1, np.ceil(np.log2(max_hops + 1))))
-    for _ in range(rounds):
-        right = m.map_batches(as_right, batch_format="pandas")
+        rounds = int(max(1, np.ceil(np.log2(max_hops + 1))))
+        for _ in range(rounds):
+            right = m.map_batches(as_right, batch_format="pandas")
+            j = hash_join(m, right, "cur", how="left", num_buckets=num_buckets)
+            # block count multiplies per materialized round otherwise
+            m = (j.map_batches(step, batch_format="pandas")
+                 .repartition(num_buckets).materialize())
+
+        right = m.map_batches(
+            lambda df: pd.DataFrame({"cur": df["node"].to_numpy(np.int64),
+                                     "__cyc": np.ones(len(df), np.int64)}),
+            batch_format="pandas")
         j = hash_join(m, right, "cur", how="left", num_buckets=num_buckets)
-        # block count multiplies per materialized round otherwise
-        m = (j.map_batches(step, batch_format="pandas")
-             .repartition(num_buckets).materialize())
 
-    right = m.map_batches(
-        lambda df: pd.DataFrame({"cur": df["node"].to_numpy(np.int64),
-                                 "__cyc": np.ones(len(df), np.int64)}),
-        batch_format="pandas")
-    j = hash_join(m, right, "cur", how="left", num_buckets=num_buckets)
+        def finish(df: pd.DataFrame) -> pd.DataFrame:
+            cyc = df["__cyc"].notna().to_numpy()
+            final = df["cur"].to_numpy(np.int64).copy()
+            hops = df["hops"].to_numpy(np.int64).copy()
+            final[cyc] = -1
+            hops[cyc] = -1
+            return pd.DataFrame({
+                "src": df["node"].to_numpy(np.int64), "final": final, "hops": hops})
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        cyc = df["__cyc"].notna().to_numpy()
-        final = df["cur"].to_numpy(np.int64).copy()
-        hops = df["hops"].to_numpy(np.int64).copy()
-        final[cyc] = -1
-        hops[cyc] = -1
-        return pd.DataFrame({
-            "src": df["node"].to_numpy(np.int64), "final": final, "hops": hops})
+        return j.map_batches(finish, batch_format="pandas")
 
-    return j.map_batches(finish, batch_format="pandas")
+    return ladder("pages.resolve_redirects", narrow.count(), DEFAULT_BROADCAST_CAP,
+                  on_driver, doubling)
 
 
 # --------------------------------------------------------------- sitemaps
@@ -1249,8 +1234,7 @@ def frontier_schedule(ds, *, host_col: str = "host_id",
 
 
 def hreflang_clusters(pages, *, id_col: str = "page_id",
-                      url_col: str = "url", html_col: str = "html",
-                      broadcast_cap: int | None = None):
+                      url_col: str = "url", html_col: str = "html"):
     """Cluster pages into hreflang language groups (the i18n dedup
     unit: one cluster = one document in many languages):
 
@@ -1304,8 +1288,7 @@ def hreflang_clusters(pages, *, id_col: str = "page_id",
 
     labels = connected_components_auto(
         pages.map_batches(as_id, batch_format="pandas"),
-        resolved.map_batches(as_uv, batch_format="pandas"),
-        broadcast_cap=broadcast_cap)
+        resolved.map_batches(as_uv, batch_format="pandas"))
 
     def out(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({

@@ -77,29 +77,35 @@ def build_graph_local(osm_path) -> pd.DataFrame:
     return e.reset_index(drop=True)
 
 
-def build_graph_auto(osm_path, *, local_cap_bytes: int = 64 << 20):
+_LOCAL_GRAPH_BYTES = 64 << 20  # OSM bytes ``build_graph_auto`` parses on the driver
+
+
+def build_graph_auto(osm_path):
     """Hybrid ladder for the graph side of the flagship join — the
     same under-cap/over-cap shape as ``exact_dedup_filter`` and
-    ``connected_components_auto``, so the crossover is a measurable
-    parameter instead of prose: when the OSM shards total at most
-    ``local_cap_bytes`` the graph parses on the driver
+    ``connected_components_auto``: when the OSM shards total at most
+    ``_LOCAL_GRAPH_BYTES`` the graph parses on the driver
     (:func:`build_graph_local` — it is the BROADCAST side of the snap
     join, so it must fit one worker's heap anyway, and driver assembly
     skips two distributed dedup exchanges); above the cap the fully
     distributed :func:`build_graph` takes over. Returns the
-    coord-attached canonical edge table — a pandas DataFrame below the
-    cap, a Dataset above it; both feed ``spatial.knn_snap_broadcast``
-    unchanged, and both produce identical edges (parity-pinned in
-    tests/test_pages_spatial.py)."""
+    coord-attached canonical edge table as a pandas DataFrame on both
+    rungs: it is the broadcast side that ``spatial.knn_snap_broadcast``
+    holds on the driver anyway (wrapping the driver-built table in a
+    Dataset measured slower per snap round). Both rungs produce
+    identical edges (parity-pinned in tests/test_pages_spatial.py)."""
+    from .joins import ladder
+
     files = (
         [os.path.join(osm_path, f) for f in sorted(os.listdir(osm_path)) if f.endswith(".osm")]
         if os.path.isdir(osm_path)
         else [osm_path]
     )
-    if sum(os.path.getsize(f) for f in files) <= local_cap_bytes:
-        return build_graph_local(osm_path)
-    _, ewc = build_graph(osm_path)
-    return ewc
+    return ladder(
+        "pipelines.build_graph_auto", sum(os.path.getsize(f) for f in files),
+        _LOCAL_GRAPH_BYTES,
+        lambda: build_graph_local(osm_path),
+        lambda: build_graph(osm_path)[1].to_pandas())
 
 
 def simplify_graph(nodes, edges, delta: float, *, metrics_dir: str | None = None):
@@ -237,8 +243,7 @@ def page_keys_from_documents(sf_dir: str):
     return docs.map_batches(keys, batch_format="pandas")
 
 
-def flagship(sf_dir: str, *, res: int = 11, ring: int = 1,
-             local_cap_bytes: int = 64 << 20):
+def flagship(sf_dir: str, *, res: int = 11, ring: int = 1):
     """The headline pipeline: synthetic city street graph (around the
     pages hotspots) + pages clean-up + kNN snap of every geotagged page
     to its nearest street edge. Returns the snapped Dataset.
@@ -247,10 +252,10 @@ def flagship(sf_dir: str, *, res: int = 11, ring: int = 1,
     pass A reads only the derived (url, warc_ts) keys from the pruned
     documents scan, and pass B fuses with extract -> geotag -> snap into
     one pass over the generated pages. The graph side routes through
-    :func:`build_graph_auto` (driver parse under ``local_cap_bytes``,
+    :func:`build_graph_auto` (driver parse under ``_LOCAL_GRAPH_BYTES``,
     distributed above — the broadcast-side hybrid ladder)."""
     osm_dir = _flagship_osm_dir()
-    ewc = build_graph_auto(osm_dir, local_cap_bytes=local_cap_bytes)
+    ewc = build_graph_auto(osm_dir)
     pg = pages_from_documents(sf_dir)
     pg = pages.dedup_pages(pg, key_source=page_keys_from_documents(sf_dir))
     pg = pages.extract_text(pg)  # re-extract (P6)

@@ -572,7 +572,7 @@ def segment_crossing_join(segs, polys, *, id_col: str = "seg_id"):
 
 
 def cell_regions(cells_ds, *, x_col: str = "x", y_col: str = "y",
-                 width: int = 4096, broadcast_cap: int | None = None):
+                 width: int = 4096):
     """Dissolve occupied grid cells into 4-connected regions (the
     raster equivalent of polygon dissolve): cells are keyed
     ``y * width + x`` (caller guarantees ``x + 1 < width`` so east
@@ -586,7 +586,7 @@ def cell_regions(cells_ds, *, x_col: str = "x", y_col: str = "y",
     perimeter) with ``perimeter = 4 * n_cells - 2 * adjacent_pairs``
     (each interior pair hides two unit edges) — integer-exact.
 
-    Hybrid ladder (house pattern): under ``broadcast_cap`` occupied
+    Hybrid ladder (house pattern): under the broadcast cap occupied
     cells the int64 cell ids ship once to the driver and the whole
     dissolve (sorted-membership neighbour probe, ``_min_label_cc``
     fixpoint, bincount stats) runs as one vectorized kernel — the
@@ -594,10 +594,11 @@ def cell_regions(cells_ds, *, x_col: str = "x", y_col: str = "y",
     ~5 s of parallelism-INDEPENDENT time at any size (measured sf0.01
     == sf0.1), which dominates whenever the key column fits a heap.
     Above the cap the bucketed joins + components ladder take over;
-    a forced-cap pytest pins both paths row-identical.
+    a forced-rung pytest pins both paths row-identical.
     """
     from .components import _min_label_cc, connected_components_auto
-    from .joins import DEFAULT_BROADCAST_CAP, grouped_apply, hash_join
+    from .joins import (DEFAULT_BROADCAST_CAP, distinct_rows, grouped_apply,
+                        hash_join, ladder)
 
     def cid(df: pd.DataFrame) -> pd.DataFrame:
         x = df[x_col].to_numpy(np.int64)
@@ -606,8 +607,7 @@ def cell_regions(cells_ds, *, x_col: str = "x", y_col: str = "y",
 
     nodes = cells_ds.map_batches(cid, batch_format="pandas").materialize()
 
-    cap = DEFAULT_BROADCAST_CAP if broadcast_cap is None else broadcast_cap
-    if nodes.count() <= cap:
+    def on_driver():
         import ray
 
         id_parts = [b["id"] for b in nodes.iter_batches(
@@ -641,53 +641,62 @@ def cell_regions(cells_ds, *, x_col: str = "x", y_col: str = "y",
         return ray.data.from_arrow(
             pa.Table.from_pandas(out, preserve_index=False))
 
-    def shifted(df: pd.DataFrame) -> pd.DataFrame:
-        i = df["id"].to_numpy(np.int64)
-        return pd.DataFrame({"u": np.concatenate([i, i]),
-                             "v": np.concatenate([i + 1, i + width])})
+    def distributed():
+        # occupancy is a set, as in the driver kernel's np.unique
+        occupied = distinct_rows(nodes, "id").materialize()
 
-    def as_key(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"v": df["id"].to_numpy(np.int64)})
+        def shifted(df: pd.DataFrame) -> pd.DataFrame:
+            i = df["id"].to_numpy(np.int64)
+            return pd.DataFrame({"u": np.concatenate([i, i]),
+                                 "v": np.concatenate([i + 1, i + width])})
 
-    edges = hash_join(
-        nodes.map_batches(shifted, batch_format="pandas"),
-        nodes.map_batches(as_key, batch_format="pandas"),
-        "v", how="inner").materialize()
+        def as_key(df: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame({"v": df["id"].to_numpy(np.int64)})
 
-    labels = connected_components_auto(
-        nodes, edges, broadcast_cap=broadcast_cap).materialize()
+        edges = hash_join(
+            occupied.map_batches(shifted, batch_format="pandas"),
+            occupied.map_batches(as_key, batch_format="pandas"),
+            "v", how="inner").materialize()
 
-    def count_nodes(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("comp", as_index=False).size()
-        g.columns = ["comp", "n_cells"]
-        return g.astype(np.int64)
+        labels = connected_components_auto(occupied, edges).materialize()
 
-    n_per = grouped_apply(labels, "comp", count_nodes)
+        def count_nodes(df: pd.DataFrame) -> pd.DataFrame:
+            g = df.groupby("comp", as_index=False).size()
+            g.columns = ["comp", "n_cells"]
+            return g.astype(np.int64)
 
-    def as_u(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"id": df["u"].to_numpy(np.int64)})
+        n_per = grouped_apply(labels, "comp", count_nodes)
 
-    edge_comp = hash_join(
-        edges.map_batches(as_u, batch_format="pandas"), labels,
-        "id", how="inner")
+        def as_u(df: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame({"id": df["u"].to_numpy(np.int64)})
 
-    def count_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("comp", as_index=False).size()
-        g.columns = ["comp", "pairs"]
-        return g.astype(np.int64)
+        edge_comp = hash_join(
+            edges.map_batches(as_u, batch_format="pandas"), labels,
+            "id", how="inner")
 
-    pairs = grouped_apply(edge_comp, "comp", count_pairs)
-    joined = hash_join(n_per, pairs, "comp", how="left")
+        def count_pairs(df: pd.DataFrame) -> pd.DataFrame:
+            g = df.groupby("comp", as_index=False).size()
+            g.columns = ["comp", "pairs"]
+            return g.astype(np.int64)
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        n = df["n_cells"].to_numpy(np.int64)
-        p = df["pairs"].fillna(0).to_numpy(np.int64)
-        return pd.DataFrame({
-            "region_id": df["comp"].to_numpy(np.int64),
-            "n_cells": n,
-            "perimeter": 4 * n - 2 * p})
+        pairs = grouped_apply(edge_comp, "comp", count_pairs)
+        joined = hash_join(n_per, pairs, "comp", how="left")
 
-    return joined.map_batches(finish, batch_format="pandas")
+        def finish(df: pd.DataFrame) -> pd.DataFrame:
+            n = df["n_cells"].to_numpy(np.int64)
+            p = df["pairs"].fillna(0).to_numpy(np.int64)
+            return pd.DataFrame({
+                "region_id": df["comp"].to_numpy(np.int64),
+                "n_cells": n,
+                "perimeter": 4 * n - 2 * p})
+
+        return joined.map_batches(finish, batch_format="pandas")
+
+    n = nodes.count()
+    if n == 0:  # no cells: the kernel's empty table (the joins need a schema)
+        return on_driver()
+    return ladder("polygons.cell_regions", n, DEFAULT_BROADCAST_CAP,
+                  on_driver, distributed)
 
 
 # -------------------------------------------------------------- convex hulls

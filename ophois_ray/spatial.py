@@ -48,10 +48,11 @@ import pandas as pd
 
 
 from . import cells, geo
-from .joins import stable_hash
+from .joins import ladder, stable_hash
 
 _PAGE_SIDE, _EDGE_SIDE = 0, 1
 _EDGE_COLS = ["u", "v", "u_lat", "u_lon", "v_lat", "v_lon"]
+_COMPACT_DRIVER_CAP = 2_000_000  # distinct cells ``compact_cells`` compacts on the driver
 
 
 def assign_cells(ds, res: int, lat_col: str = "lat", lon_col: str = "lon", out_col: str = "cell"):
@@ -522,15 +523,14 @@ def simplify_polylines(points, *, eps2: int, trace_col: str = "trace_id",
 
 
 def compact_cells(ds, cell_col: str = "cell", *, bucket_res: int = 2,
-                  num_buckets: int = 64,
-                  broadcast_cap: int = 2_000_000):
+                  num_buckets: int = 64):
     """Distributed H3-style compaction of a cell-id column: the
     minimal mixed-resolution cover of the distinct input cells
     (complete sibling quartets promoted to their parent, recursively).
     Returns a Dataset of one ``cell`` row per cover cell.
 
     Scale ladder (the repo's standard shape): per-block distinct
-    pre-combine first; under ``broadcast_cap`` distinct cells, ONE
+    pre-combine first; under ``_COMPACT_DRIVER_CAP`` distinct cells, ONE
     driver kernel call (`cells.compact_cells_array`). Above it, an
     ancestor-bucket co-partition — promotion of cells at res >
     bucket_res is CLOSED within their res-``bucket_res`` ancestor (a
@@ -541,7 +541,7 @@ def compact_cells(ds, cell_col: str = "cell", *, bucket_res: int = 2,
     promoted residue — driver-merges through one final kernel call,
     while the res > bucket_res remainder stays distributed. Both
     paths accept any resolution mix and are pinned bit-equal by a
-    forced-cap pytest."""
+    forced-rung pytest."""
     import ray
 
     def distinct(df: pd.DataFrame) -> pd.DataFrame:
@@ -549,59 +549,65 @@ def compact_cells(ds, cell_col: str = "cell", *, bucket_res: int = 2,
             {cell_col: pd.unique(df[cell_col].to_numpy(np.int64))})
 
     u = ds.map_batches(distinct, batch_format="pandas").materialize()
-    if u.count() <= broadcast_cap:
+
+    def on_driver():
         arrs = [b[cell_col].to_numpy(np.int64)
                 for b in u.iter_batches(batch_format="pandas")]
         arr = (np.concatenate(arrs) if arrs
                else np.empty(0, np.int64))
         out = cells.compact_cells_array(arr)
         return ray.data.from_pandas(pd.DataFrame({cell_col: out}))
-    from .joins import grouped_apply
 
-    # res <= bucket_res splits off BEFORE bucketing (no bucket
-    # ancestor; the id domain is tiny) — the same mask re-splits the
-    # bucket outputs afterwards
-    fine_floor = np.int64(bucket_res + 1) << np.int64(58)
+    def bucketed():
+        from .joins import grouped_apply
 
-    def fine_only(df: pd.DataFrame) -> pd.DataFrame:
-        c = df[cell_col].to_numpy(np.int64)
-        return pd.DataFrame({cell_col: c[c >= fine_floor]})
+        # res <= bucket_res splits off BEFORE bucketing (no bucket
+        # ancestor; the id domain is tiny) — the same mask re-splits the
+        # bucket outputs afterwards
+        fine_floor = np.int64(bucket_res + 1) << np.int64(58)
 
-    def coarse_only(df: pd.DataFrame) -> pd.DataFrame:
-        c = df[cell_col].to_numpy(np.int64)
-        return pd.DataFrame({cell_col: c[c < fine_floor]})
+        def fine_only(df: pd.DataFrame) -> pd.DataFrame:
+            c = df[cell_col].to_numpy(np.int64)
+            return pd.DataFrame({cell_col: c[c >= fine_floor]})
 
-    def add_anc(df: pd.DataFrame) -> pd.DataFrame:
-        c = df[cell_col].to_numpy(np.int64)
-        df = df.copy()
-        df["__anc"] = cells.parent_to(c, bucket_res)
-        return df
+        def coarse_only(df: pd.DataFrame) -> pd.DataFrame:
+            c = df[cell_col].to_numpy(np.int64)
+            return pd.DataFrame({cell_col: c[c < fine_floor]})
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out = cells.compact_cells_array(
-            df[cell_col].to_numpy(np.int64), stop_res=bucket_res)
-        return pd.DataFrame({cell_col: out})
+        def add_anc(df: pd.DataFrame) -> pd.DataFrame:
+            c = df[cell_col].to_numpy(np.int64)
+            df = df.copy()
+            df["__anc"] = cells.parent_to(c, bucket_res)
+            return df
 
-    comp = grouped_apply(
-        u.map_batches(fine_only, batch_format="pandas")
-         .map_batches(add_anc, batch_format="pandas"),
-        "__anc", per_bucket, num_buckets=num_buckets).materialize()
+        def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
+            out = cells.compact_cells_array(
+                df[cell_col].to_numpy(np.int64), stop_res=bucket_res)
+            return pd.DataFrame({cell_col: out})
 
-    def collect(dset) -> np.ndarray:
-        frames = list(dset.iter_batches(batch_format="pandas"))
-        if not frames:
-            return np.empty(0, np.int64)
-        return np.concatenate(
-            [f[cell_col].to_numpy(np.int64) for f in frames])
+        comp = grouped_apply(
+            u.map_batches(fine_only, batch_format="pandas")
+             .map_batches(add_anc, batch_format="pandas"),
+            "__anc", per_bucket, num_buckets=num_buckets).materialize()
 
-    residue = np.concatenate([
-        collect(comp.map_batches(coarse_only, batch_format="pandas")),
-        collect(u.map_batches(coarse_only, batch_format="pandas")),
-    ])
-    final_coarse = cells.compact_cells_array(residue)
-    fine = comp.map_batches(fine_only, batch_format="pandas")
-    return fine.union(ray.data.from_pandas(
-        pd.DataFrame({cell_col: final_coarse})))
+        def collect(dset) -> np.ndarray:
+            frames = list(dset.iter_batches(batch_format="pandas"))
+            if not frames:
+                return np.empty(0, np.int64)
+            return np.concatenate(
+                [f[cell_col].to_numpy(np.int64) for f in frames])
+
+        residue = np.concatenate([
+            collect(comp.map_batches(coarse_only, batch_format="pandas")),
+            collect(u.map_batches(coarse_only, batch_format="pandas")),
+        ])
+        final_coarse = cells.compact_cells_array(residue)
+        fine = comp.map_batches(fine_only, batch_format="pandas")
+        return fine.union(ray.data.from_pandas(
+            pd.DataFrame({cell_col: final_coarse})))
+
+    return ladder("spatial.compact_cells", u.count(), _COMPACT_DRIVER_CAP,
+                  on_driver, bucketed)
 
 
 # ----------------------------------------------------------------- OD matrix

@@ -542,7 +542,7 @@ def bm25_topk(ds, query_terms, *, text_col: str = "text",
 
 def collocations(ds, *, text_col: str = "text", k: int = 30,
                  min_count: int = 5, scale: int = 1 << 20,
-                 num_buckets: int = 64, broadcast_cap: int = 5_000_000):
+                 num_buckets: int = 64):
     """Top-k collocations (adjacent word pairs) by an integer PMI
     surrogate: ``score = (c_xy * T * scale) // (c_x * c_y)`` with T the
     total token count — the phrase-detection sweep (word2vec-style) of
@@ -554,7 +554,7 @@ def collocations(ds, *, text_col: str = "text", k: int = 30,
     keys only), ``min_count`` prunes the pair table *before* the
     unigram attach, and the final global top-k is a sort-limit over the
     pruned scored pairs. The unigram attach is hybrid: a vocabulary
-    under ``broadcast_cap`` ships once as a sorted-array BroadcastIndex
+    under the broadcast cap ships once as a sorted-array BroadcastIndex
     (both lookups become one fused map — measured, the two bucketed
     joins it replaces were the dominant barrier cost); above the cap it
     falls back to two hash joins. Caller keeps ``max_c_xy * T * scale``
@@ -563,7 +563,8 @@ def collocations(ds, *, text_col: str = "text", k: int = 30,
     """
     import ray
 
-    from .joins import BroadcastIndex, grouped_apply, hash_join
+    from .joins import (DEFAULT_BROADCAST_CAP, BroadcastIndex, grouped_apply,
+                        hash_join, ladder)
 
     def bigram_partial(df: pd.DataFrame) -> pd.DataFrame:
         toks = df[text_col].str.split()
@@ -615,7 +616,6 @@ def collocations(ds, *, text_col: str = "text", k: int = 30,
         return df[df["n"].to_numpy(np.int64) >= min_count]
 
     pruned = pairs.map_batches(prune, batch_format="pandas")
-    n_vocab = uni.count()
 
     def score_cols(df: pd.DataFrame, c1: np.ndarray, c2: np.ndarray) -> pd.DataFrame:
         n = df["n"].to_numpy(np.int64)
@@ -628,8 +628,8 @@ def collocations(ds, *, text_col: str = "text", k: int = 30,
             }
         )
 
-    if n_vocab <= broadcast_cap:
-        uref = ray.put(BroadcastIndex.from_dataset(uni, "w", ["c"], cap=broadcast_cap))
+    def broadcast():
+        uref = ray.put(BroadcastIndex.from_dataset(uni, "w", ["c"]))
 
         def attach_score(df: pd.DataFrame) -> pd.DataFrame:
             idx = ray.get(uref) if isinstance(uref, ray.ObjectRef) else uref
@@ -637,8 +637,9 @@ def collocations(ds, *, text_col: str = "text", k: int = 30,
             c2 = idx.lookup(df["w2"].to_numpy(object), "c")
             return score_cols(df, c1, c2)
 
-        scored = pruned.map_batches(attach_score, batch_format="pandas")
-    else:
+        return pruned.map_batches(attach_score, batch_format="pandas")
+
+    def join():
         u1 = uni.map_batches(
             lambda df: df.rename(columns={"w": "w1", "c": "c1"}), batch_format="pandas"
         )
@@ -649,13 +650,15 @@ def collocations(ds, *, text_col: str = "text", k: int = 30,
             hash_join(pruned, u1, on="w1", num_buckets=num_buckets),
             u2, on="w2", num_buckets=num_buckets,
         )
-        scored = joined.map_batches(
+        return joined.map_batches(
             lambda df: score_cols(
                 df, df["c1"].to_numpy(np.int64), df["c2"].to_numpy(np.int64)
             ),
             batch_format="pandas",
         )
 
+    scored = ladder("textstats.collocations", uni.count(), DEFAULT_BROADCAST_CAP,
+                    broadcast, join)
     return scored.sort(["score", "pair"], descending=[True, False]).limit(k)
 
 

@@ -165,12 +165,14 @@ def test_compact_cells_array_matches_naive_oracle():
 
 
 def test_compact_cells_distributed_parity(ray_session):
-    """spatial.compact_cells: the forced ancestor-bucket path (cap 0)
-    is bit-equal to the broadcast path and to the plain kernel."""
+    """spatial.compact_cells: the forced ancestor-bucket path (large
+    rung) is bit-equal to the broadcast path and to the plain kernel —
+    also on duplicate-heavy and on empty input."""
     import ray
 
     import pandas as pd
     from ophois_ray import spatial
+    from ophois_ray.joins import forced_rung
 
     rng = np.random.default_rng(23)
     pts = cells.encode(np.full(6000, 6, np.int64),
@@ -180,15 +182,14 @@ def test_compact_cells_distributed_parity(ray_session):
     want = cells.compact_cells_array(pts)
     broad = np.sort(spatial.compact_cells(ds)
                     .to_pandas()["cell"].to_numpy(np.int64))
-    forced = np.sort(spatial.compact_cells(ds, broadcast_cap=0,
-                                           bucket_res=2, num_buckets=5)
-                     .to_pandas()["cell"].to_numpy(np.int64))
+    with forced_rung("large"):
+        forced = np.sort(spatial.compact_cells(ds, bucket_res=2, num_buckets=5)
+                         .to_pandas()["cell"].to_numpy(np.int64))
+        # a coarser bucket_res changes the partitioning, not the answer
+        forced3 = np.sort(spatial.compact_cells(ds, bucket_res=3)
+                          .to_pandas()["cell"].to_numpy(np.int64))
     assert np.array_equal(broad, want)
     assert np.array_equal(forced, want)
-    # a coarser bucket_res changes the partitioning, not the answer
-    forced3 = np.sort(spatial.compact_cells(ds, broadcast_cap=0,
-                                            bucket_res=3)
-                      .to_pandas()["cell"].to_numpy(np.int64))
     assert np.array_equal(forced3, want)
     # mixed resolutions incl. cells AT and BELOW bucket_res: coarse
     # input routes straight into the driver residue on both paths
@@ -201,10 +202,17 @@ def test_compact_cells_distributed_parity(ray_session):
         cells.encode(np.array([1, 0]),                 # < bucket_res
                      np.array([1, 0]), np.array([0, 0])),
     ])
+    # plus every cell again and one hot cell 500 times (duplicates)
+    mixed = np.concatenate([mixed, mixed, np.full(500, pts[0])])
     dsm = ray.data.from_pandas(pd.DataFrame({"cell": mixed})).repartition(4)
-    wantm = cells.compact_cells_array(mixed)
-    for kwargs in ({}, {"broadcast_cap": 0, "bucket_res": 2,
-                        "num_buckets": 3}):
-        gotm = np.sort(spatial.compact_cells(dsm, **kwargs)
-                       .to_pandas()["cell"].to_numpy(np.int64))
-        assert np.array_equal(gotm, wantm), kwargs
+    wantm = cells.compact_cells_array(np.unique(mixed))
+    empty = ray.data.from_pandas(pd.DataFrame(
+        {"cell": np.empty(0, np.int64)}))
+    for rung in ("small", "large"):
+        with forced_rung(rung):
+            gotm = np.sort(spatial.compact_cells(dsm, bucket_res=2,
+                                                 num_buckets=3)
+                           .to_pandas()["cell"].to_numpy(np.int64))
+            got0 = spatial.compact_cells(empty).to_pandas()
+        assert np.array_equal(gotm, wantm), rung
+        assert len(got0) == 0, rung

@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from ophois_ray import components, discretize, graphio, graphops
+from ophois_ray.joins import forced_rung
 from ophois_ray.oracle import OracleGraph
 from tests.conftest import load_fixture_text
 
@@ -146,11 +147,12 @@ def test_distributed_h3_matches_oracle_topology():
     nodes, edges = graphio.graph_from_text(H3_TOPOLOGY)
     nodes = graphops.dedup_nodes(nodes).materialize()
     edges = graphops.dedup_edges(edges).materialize()
-    # local_cap=0 forces the pure pointer-doubling dataflow (no driver
+    # the large rung is the pure pointer-doubling dataflow (no driver
     # chain walk anywhere)
-    n2, e2 = components.remove_degree_two_nodes_distributed(
-        nodes, edges, num_buckets=4, max_rounds=10, local_cap=0
-    )
+    with forced_rung("large"):
+        n2, e2 = components.remove_degree_two_nodes_distributed(
+            nodes, edges, num_buckets=4, max_rounds=10
+        )
     oracle = OracleGraph.from_text(H3_TOPOLOGY)
     oracle.remove_degree_two_nodes()
     ids, es = _graph_sets(n2, e2)
@@ -165,39 +167,53 @@ def test_distributed_h3_reversed_survivor_dedup():
     be dropped (reference contains_link checks both orientations): node 2
     is degree-2 between 1 and 3, the direct edge is stored as (3, 1).
     Regression: the distributed dedup bucketed on raw (u, v) so the
-    reversed pair slipped the guard."""
+    reversed pair slipped the guard. Both rungs, plus a hot hub (six
+    degree-2 spokes end on one node) and an empty graph."""
+    import pyarrow as pa
     import ray
 
-    nodes = ray.data.from_pandas(pd.DataFrame({
-        "id": [str(i) for i in range(1, 6)],
-        "lat_str": ["48.0"] * 5,
-        "lon_str": [f"2.00{i}" for i in range(1, 6)],
-    }))
-    edges = ray.data.from_pandas(pd.DataFrame({
-        "u": ["1", "2", "3", "1", "3"],
-        "v": ["2", "3", "1", "4", "5"],
-    }))
-    for cap in (0, 5_000_000):
-        n2, e2 = components.remove_degree_two_nodes_distributed(
-            nodes, edges, num_buckets=4, local_cap=cap
-        )
-        ids = sorted(r["id"] for r in n2.select_columns(["id"]).iter_rows())
-        es = sorted(
-            tuple(sorted((r["u"], r["v"])))
-            for r in e2.select_columns(["u", "v"]).iter_rows()
-        )
-        assert ids == ["1", "3", "4", "5"], cap
-        assert es == [("1", "3"), ("1", "4"), ("3", "5")], cap
+    def graph(u, v):
+        # via Arrow: a 0-row from_pandas Dataset drops its columns
+        ids = sorted(set(u) | set(v))
+        s = pa.string()
+        return (ray.data.from_arrow(pa.table({
+                    "id": pa.array(ids, s), "lat_str": pa.array(["48.0"] * len(ids), s),
+                    "lon_str": pa.array([f"2.00{i}" for i in range(len(ids))], s)})),
+                ray.data.from_arrow(pa.table({"u": pa.array(u, s), "v": pa.array(v, s)})))
+
+    spokes = [f"a{i}" for i in range(6)]
+    tips = [f"b{i}" for i in range(6)]
+    cases = [
+        (graph(["1", "2", "3", "1", "3"], ["2", "3", "1", "4", "5"]),
+         ["1", "3", "4", "5"], [("1", "3"), ("1", "4"), ("3", "5")]),
+        (graph(["h"] * 6 + spokes, spokes + tips),
+         sorted(["h"] + tips), [(t, "h") for t in tips]),
+        (graph([], []), [], []),
+    ]
+    for rung in ("large", "small"):
+        for (nodes, edges), want_ids, want_es in cases:
+            with forced_rung(rung):
+                n2, e2 = components.remove_degree_two_nodes_distributed(
+                    nodes, edges, num_buckets=4
+                )
+            ids = sorted(r["id"] for r in n2.select_columns(["id"]).iter_rows())
+            es = sorted(
+                tuple(sorted((r["u"], r["v"])))
+                for r in e2.select_columns(["u", "v"]).iter_rows()
+            )
+            assert ids == want_ids, rung
+            assert es == want_es, rung
 
 
 def test_distributed_h3_matches_oracle_fixtures():
     # cailles through the forced pointer-doubling path, test_bfs through
     # the hybrid driver-chain-walk fast path — both must match the oracle
-    for name, cap in (("cailles.graph", 0), ("test_bfs.graph", 5_000_000)):
+    for name, rung in (("cailles.graph", "large"), ("test_bfs.graph", "small")):
         nodes, edges = tables_from(name)
-        n2, e2 = components.remove_degree_two_nodes_distributed(
-            nodes, edges, num_buckets=4, local_cap=cap
-        )
+        with forced_rung(rung):
+            n2, e2 = components.remove_degree_two_nodes_distributed(
+                nodes, edges, num_buckets=4
+            )
         oracle = OracleGraph.from_text(load_fixture_text(name))
         oracle.remove_degree_two_nodes()
         ids, es = _graph_sets(n2, e2)

@@ -5,10 +5,26 @@ import pandas as pd
 import pytest
 
 from ophois_ray import graphio, graphops
+from ophois_ray.joins import forced_rung
 from ophois_ray.oracle import OracleGraph
 from tests.conftest import load_fixture_text
 
 pytestmark = pytest.mark.usefixtures("ray_session")
+
+
+def _int_table(**cols):
+    """int64 Dataset via Arrow (a 0-row from_pandas Dataset drops its
+    columns, so empty inputs keep their schema)."""
+    import pyarrow as pa
+    import ray.data
+
+    return ray.data.from_arrow(pa.table(
+        {k: pa.array(np.asarray(v, np.int64), pa.int64()) for k, v in cols.items()}))
+
+
+#: extra ladder inputs: a hot hub (node 0 on every edge) and no edges
+_HUB = np.arange(1, 41)
+_EXTRA_EDGES = {"hub": (np.zeros(40, np.int64), _HUB), "empty": ([], [])}
 
 
 @pytest.fixture(scope="module")
@@ -165,25 +181,31 @@ def test_hash_join_matches_pandas(ray_session):
 
 def test_distinct_rows_paths_identical(ray_session):
     """joins.distinct_rows: the capped narrow-merge path and the
-    forced bucketed grouped_apply path (single_task_cap=0) produce the
-    SAME key set as pandas drop_duplicates, on duplicate-heavy input
-    spread across many blocks."""
-    import ray.data
+    forced bucketed grouped_apply path (large rung) produce the SAME
+    key set as pandas drop_duplicates, on duplicate-heavy input spread
+    across many blocks, on one hot key and on empty input."""
     from ophois_ray.joins import distinct_rows
 
     rng = np.random.RandomState(11)
-    df = pd.DataFrame({
-        "u": rng.randint(0, 60, 5000).astype(np.int64),
-        "v": rng.randint(0, 60, 5000).astype(np.int64),
-    })
-    ds = ray.data.from_pandas(df).repartition(17)
-    exp = (df.drop_duplicates(["u", "v"]).sort_values(["u", "v"])
-           .reset_index(drop=True))
-    for cap in (4_000_000, 0):
-        got = (distinct_rows(ds, ["u", "v"], single_task_cap=cap)
-               .to_pandas().sort_values(["u", "v"]).reset_index(drop=True))
-        pd.testing.assert_frame_equal(got[["u", "v"]], exp[["u", "v"]],
-                                      check_dtype=False)
+    inputs = [
+        (rng.randint(0, 60, 5000), rng.randint(0, 60, 5000)),
+        (np.full(3000, 7), np.full(3000, 9)),
+        ([], []),
+    ]
+    for u, v in inputs:
+        df = pd.DataFrame({"u": np.asarray(u, np.int64), "v": np.asarray(v, np.int64)})
+        ds = _int_table(u=u, v=v).repartition(17)
+        exp = (df.drop_duplicates(["u", "v"]).sort_values(["u", "v"])
+               .reset_index(drop=True))
+        for rung in ("small", "large"):
+            with forced_rung(rung):
+                got = distinct_rows(ds, ["u", "v"]).to_pandas()
+            if not len(exp):
+                assert len(got) == 0, rung
+                continue
+            got = got.sort_values(["u", "v"]).reset_index(drop=True)
+            pd.testing.assert_frame_equal(got[["u", "v"]], exp[["u", "v"]],
+                                          check_dtype=False)
 
 
 def test_asof_join_matches_pandas(ray_session):
@@ -399,9 +421,10 @@ def test_watermark_late_counts_matches_sequential(ray_session):
 
 
 def test_sssp_copart_path_equals_broadcast(ray_session):
-    """Forced-cap co-partitioned Bellman-Ford bit-matches the
+    """Forced-rung co-partitioned Bellman-Ford bit-matches the
     broadcast path on a random sparse graph (incl. weight ties and
-    multi-seed fronts)."""
+    multi-seed fronts), also with only the edge ladder forced large,
+    on a hot hub and on an empty graph."""
     import ray.data
 
     from ophois_ray.graphops import sssp_rounds
@@ -417,14 +440,23 @@ def test_sssp_copart_path_equals_broadcast(ray_session):
 
     # NOTE seed_mod must not divide split_hash's multiplier
     # (1103515245 % 7 == 0 -> %7 never selects a seed)
-    a = (sssp_rounds(ds, seed_mod=23, rounds=4, weight_mod=9)
-         .to_pandas().sort_values("node").reset_index(drop=True))
-    b = (sssp_rounds(ds, seed_mod=23, rounds=4, weight_mod=9,
-                     broadcast_cap=0)
-         .to_pandas().sort_values("node").reset_index(drop=True))
-    assert a["node"].tolist() == b["node"].tolist()
-    assert a["dist"].tolist() == b["dist"].tolist()
-    assert len(a) > 10 and (a["dist"] > 0).any()
+    def run(ds, *force):
+        with forced_rung(*force):
+            out = sssp_rounds(ds, seed_mod=23, rounds=4, weight_mod=9,
+                              num_buckets=8).to_pandas()
+        if not len(out):
+            return [], []
+        out = out.sort_values("node")
+        return out["node"].tolist(), out["dist"].tolist()
+
+    a = run(ds, "small")
+    assert len(a[0]) > 10 and max(a[1]) > 0
+    assert run(ds, "large") == a
+    assert run(ds, "large", "graphops.sssp_rounds.edges") == a
+    for name, (u, v) in _EXTRA_EDGES.items():
+        # ids 0..40: shift so that some hub spoke is a seed
+        e = _int_table(u=np.asarray(u, np.int64) + 3, v=np.asarray(v, np.int64) + 3)
+        assert run(e, "large") == run(e, "small"), name
 
 
 def test_asof_join_right_prep_equals_global_dedup(ray_session):
@@ -461,9 +493,10 @@ def test_asof_join_right_prep_equals_global_dedup(ray_session):
 
 
 def test_cc_broadcast_path_equals_labelprop(ray_session):
-    """Forced-cap ladder parity: the vectorized broadcast min-label CC
+    """Forced-rung ladder parity: the vectorized broadcast min-label CC
     bit-matches the distributed pointer-jumping labelprop on a random
-    sparse graph (isolated nodes included)."""
+    sparse graph (isolated nodes included), on a hot hub and on an
+    empty graph."""
     import ray.data
 
     from ophois_ray.components import connected_components_auto
@@ -486,11 +519,21 @@ def test_cc_broadcast_path_equals_labelprop(ray_session):
 
     fast = (connected_components_auto(nodes, edges)
             .to_pandas().sort_values("id").reset_index(drop=True))
-    slow = (connected_components_auto(nodes, edges, broadcast_cap=0,
-                                      num_buckets=4)
-            .to_pandas().sort_values("id").reset_index(drop=True))
+    with forced_rung("large"):
+        slow = (connected_components_auto(nodes, edges, num_buckets=4)
+                .to_pandas().sort_values("id").reset_index(drop=True))
     assert fast["id"].tolist() == slow["id"].tolist()
     assert fast["comp"].tolist() == slow["comp"].tolist()
+    for name, (u, v) in _EXTRA_EDGES.items():
+        ids = np.unique(np.concatenate([u, v, [99]]).astype(np.int64))
+        runs = []
+        for rung in ("small", "large"):
+            with forced_rung(rung):
+                runs.append(connected_components_auto(
+                    _int_table(id=ids), _int_table(u=u, v=v), num_buckets=4)
+                    .to_pandas().sort_values("id")[["id", "comp"]]
+                    .values.tolist())
+        assert runs[0] == runs[1], name
     # isolated nodes label themselves; more than one real component
     got = dict(zip(fast["id"], fast["comp"]))
     assert got[500] == 500 and got[501] == 501
@@ -522,8 +565,9 @@ def _ref_hits(arcs, iters, scale):
 
 def test_hits_int_matches_oracle_and_paths_agree(ray_session):
     """graphops.hits_int: broadcast path == sequential oracle ==
-    forced-cap co-partitioned path, bit-for-bit (int64 max-rescale
-    arithmetic is layout-free)."""
+    forced-rung co-partitioned path, bit-for-bit (int64 max-rescale
+    arithmetic is layout-free); both rungs agree on a hot hub and on
+    no arcs."""
     import ray
 
     from ophois_ray.graphops import hits_int
@@ -537,10 +581,18 @@ def test_hits_int_matches_oracle_and_paths_agree(ray_session):
          "dst": np.array([b for _, b in arcs], np.int64)})).repartition(7)
     exp = _ref_hits(arcs, 2, 1 << 20)
     got_b = hits_int(ds, iters=2).reset_index(drop=True)
-    got_c = hits_int(ds, iters=2, broadcast_cap=0,
-                     num_buckets=8).reset_index(drop=True)
+    with forced_rung("large"):
+        got_c = hits_int(ds, iters=2, num_buckets=8).reset_index(drop=True)
     pd.testing.assert_frame_equal(got_b.astype(np.int64), exp)
     pd.testing.assert_frame_equal(got_c.astype(np.int64), exp)
+    for name, (u, v) in _EXTRA_EDGES.items():
+        arcs_ds = _int_table(src=np.concatenate([u, v]), dst=np.concatenate([v, u]))
+        runs = []
+        for rung in ("small", "large"):
+            with forced_rung(rung):
+                runs.append(hits_int(arcs_ds, iters=2, num_buckets=8)
+                            .astype(np.int64).reset_index(drop=True))
+        pd.testing.assert_frame_equal(runs[0], runs[1])
     # a pure hub (source-only node) has auth 0; a pure authority
     # (sink-only) has hub 0
     star = [(1, 9), (2, 9), (3, 9)]
@@ -590,8 +642,9 @@ def test_link_prediction_matches_scalar_oracle(ray_session):
 
 def test_degree_assortativity_paths_and_oracle(ray_session):
     """graphops.degree_assortativity_stats: broadcast path == scalar
-    sums == forced-cap join path; star graph is exactly disassortative
-    in the raw stats."""
+    sums == forced-rung join path (also with only the edge ladder
+    forced large, on a hot hub and on no edges); star graph is exactly
+    disassortative in the raw stats."""
     import ray
 
     from ophois_ray.graphops import degree_assortativity_stats
@@ -616,9 +669,20 @@ def test_degree_assortativity_paths_and_oracle(ray_session):
         {"u": np.array([a for a, _ in edges], np.int64),
          "v": np.array([b for _, b in edges], np.int64)})).repartition(4)
     got_b = degree_assortativity_stats(ds)
-    got_j = degree_assortativity_stats(ds, broadcast_cap=0, num_buckets=8)
+    with forced_rung("large"):
+        got_j = degree_assortativity_stats(ds, num_buckets=8)
+    with forced_rung("large", "graphops.degree_assortativity_stats.edges"):
+        got_e = degree_assortativity_stats(ds, num_buckets=8)
     pd.testing.assert_frame_equal(got_b, exp)
     pd.testing.assert_frame_equal(got_j, exp)
+    pd.testing.assert_frame_equal(got_e, exp)
+    for name, (u, v) in _EXTRA_EDGES.items():
+        runs = []
+        for rung in ("small", "large"):
+            with forced_rung(rung):
+                runs.append(degree_assortativity_stats(_int_table(u=u, v=v),
+                                                       num_buckets=8))
+        pd.testing.assert_frame_equal(runs[0], runs[1])
     # star K1,4: every arc pairs degree 4 with degree 1
     star = ray.data.from_pandas(pd.DataFrame(
         {"u": np.zeros(4, np.int64), "v": np.arange(1, 5, dtype=np.int64)}))

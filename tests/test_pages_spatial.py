@@ -11,6 +11,7 @@ import ray.data
 
 from ophois_ray import cells, datagen, geo, pages, spatial
 from ophois_ray import checkpoint as ckpt
+from ophois_ray.joins import forced_rung
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -164,6 +165,43 @@ def _dedup_oracle(df: pd.DataFrame) -> pd.DataFrame:
         .set_index("url")
         .sort_index()
     )
+
+
+def test_dedup_pages_winner_urls_sized_by_total_bytes():
+    """One 2,020-character url among 2,000 short ones: the pass-A winner
+    broadcast stays within the total url bytes plus a per-url constant
+    (a fixed-width ``<U`` array sizes every url by the longest one,
+    ~16 MB here), and dedup keeps the same rows as the pandas rule."""
+    import pickle
+
+    import pyarrow as pa
+
+    t = pd.Timestamp
+    urls = [f"https://example.org/page/{i:06d}" for i in range(2000)]
+    urls.append("https://long.example/" + "x" * 1999)
+    n = len(urls)
+    keys = pa.table({"url": urls,
+                     "win_ts": pa.array(np.arange(n, dtype=np.int64)),
+                     "n_at_win": pa.array(np.ones(n, dtype=np.int64))})
+    later = pa.table({"url": urls[:10],       # repeats, later: they lose
+                      "win_ts": pa.array(np.arange(10, dtype=np.int64) + n),
+                      "n_at_win": pa.array(np.ones(10, dtype=np.int64))})
+    (w_urls, w_ts), ties = pages._build_winner_arrays_impl(keys, later)
+    assert len(w_urls) == n and not ties
+    assert w_ts.tolist() == [urls.index(u) for u in w_urls]
+    url_bytes = sum(len(u.encode("utf-8")) for u in urls)
+    assert len(pickle.dumps((w_urls, w_ts))) <= url_bytes + 32 * n
+    # the rows: every url twice (later copy loses), the long one too
+    df = pd.DataFrame({
+        "url": urls[-50:] * 2,
+        "warc_ts": [t("2024-01-01") + pd.Timedelta(days=d)
+                    for d in [0] * 50 + [1] * 50],
+        "html": [b"<p>first</p>"] * 50 + [b"<p>second</p>"] * 50,
+    })
+    got = pages.dedup_pages(ray.data.from_pandas([df.iloc[:60], df.iloc[60:]]))
+    got = got.to_pandas().sort_values("url", ignore_index=True)
+    assert got["url"].tolist() == sorted(urls[-50:])
+    assert (got["html"] == b"<p>first</p>").all()
 
 
 def test_dedup_pages_null_keys_never_win_both_strategies():
@@ -871,6 +909,42 @@ def test_parse_robots_and_decide_rep_semantics():
                                "x", "/p") == (1, 0, 0)
 
 
+# ------------------------------------------------------- hreflang clusters
+
+
+def test_hreflang_clusters_rungs_agree():
+    """pages.hreflang_clusters through both rungs of the components
+    ladder: a 4-page alternate chain, a hot page that 30 others (and
+    itself) alternate to, and a duplicated page row. (An empty crawl
+    fails before the ladder: the url join needs a schema on both sides.)"""
+    import pyarrow as pa
+
+    def page(pid, url, alts):
+        links = "".join(f'<link rel="alternate" hreflang="x" href="{a}">'
+                        for a in alts)
+        return pid, url, f"<html><head>{links}</head></html>"
+
+    rows = [page(i, f"https://c/{i}", [f"https://c/{i + 1}"] if i < 3 else [])
+            for i in range(4)]
+    rows += [page(100 + i, f"https://h/{i}", ["https://h/hot"]) for i in range(30)]
+    rows += [page(200, "https://h/hot", ["https://h/hot"])] * 2
+    want = {i: 0 for i in range(4)}
+    want.update({100 + i: 100 for i in range(30)})
+    want[200] = 100
+
+    def run(rows, rung):
+        ds = ray.data.from_arrow(pa.table({
+            "page_id": pa.array([r[0] for r in rows], pa.int64()),
+            "url": pa.array([r[1] for r in rows], pa.string()),
+            "html": pa.array([r[2] for r in rows], pa.string())}))
+        with forced_rung(rung):
+            out = pages.hreflang_clusters(ds).to_pandas()
+        return dict(zip(out["page_id"], out["cluster_id"])) if len(out) else {}
+
+    for rung in ("small", "large"):
+        assert run(rows, rung) == want, rung
+
+
 # ------------------------------------------------------- redirect chains
 
 
@@ -886,16 +960,31 @@ def test_resolve_redirects_both_paths():
         "hops": [3, 2, 1, 1, -1, -1, -1],
     }).astype(np.int64)
 
-    def run(**kw):
-        out = pages.resolve_redirects(ray.data.from_pandas(edges), **kw)
-        return (out.to_pandas().astype(np.int64)
-                .sort_values("src").reset_index(drop=True))
+    def run(edges, rung, **kw):
+        import pyarrow as pa
 
-    fast = run()
-    # broadcast_cap=0 forces the distributed pointer-doubling path
-    slow = run(broadcast_cap=0, max_hops=16, num_buckets=4)
+        # via Arrow: a 0-row from_pandas Dataset drops its columns
+        ds = ray.data.from_arrow(pa.Table.from_pandas(
+            edges.astype(np.int64), preserve_index=False))
+        with forced_rung(rung):
+            out = pages.resolve_redirects(ds, **kw).to_pandas()
+        if not len(out):
+            return out
+        return out.astype(np.int64).sort_values("src").reset_index(drop=True)
+
+    fast = run(edges, "small")
+    # the large rung is the distributed pointer-doubling path
+    slow = run(edges, "large", max_hops=16, num_buckets=4)
     assert fast.equals(exp), fast
     assert slow.equals(exp), slow
+    # a hot target (40 sources redirect to one url, one of them 3
+    # times) and no redirects at all: both rungs agree
+    hub = pd.DataFrame({"src": np.r_[np.arange(100, 140), [100, 100]],
+                        "dst": np.r_[np.full(40, 7), [150, 160]]})
+    assert run(hub, "small").equals(run(hub, "large", num_buckets=4))
+    assert (run(hub, "small")["final"] == 7).all()
+    none = pd.DataFrame({"src": [], "dst": []})
+    assert len(run(none, "small")) == len(run(none, "large", num_buckets=4)) == 0
 
 
 def test_resolve_redirects_long_chain_and_cap():
@@ -1151,19 +1240,22 @@ def test_url_feature_row_doubled_separator_and_fragment_query():
 
 def test_build_graph_auto_ladder_parity(ray_session):
     """pipelines.build_graph_auto: the under-cap driver parse and the
-    over-cap distributed build produce the IDENTICAL coord-attached
-    canonical edge table on the flagship city shards (same u/v pairs,
-    same coords), so the local_cap_bytes crossover is free to move
+    over-cap distributed build return the same type and the IDENTICAL
+    coord-attached canonical edge table on the flagship city shards
+    (same u/v pairs, same coords), so the crossover is free to move
     without changing flagship output."""
     from ophois_ray import pipelines
+    from ophois_ray.joins import ladder_log
 
     osm_dir = pipelines._flagship_osm_dir()
-    local = pipelines.build_graph_auto(osm_dir)          # under cap
-    assert isinstance(local, pd.DataFrame)
-    dist = pipelines.build_graph_auto(osm_dir, local_cap_bytes=0)
-    assert not isinstance(dist, pd.DataFrame)            # Dataset rung
+    with forced_rung("small"):
+        local = pipelines.build_graph_auto(osm_dir)
+    assert ladder_log()[-1]["rung"] == "small"
+    with forced_rung("large"):
+        dist = pipelines.build_graph_auto(osm_dir)
+    assert ladder_log()[-1]["rung"] == "large"
+    assert isinstance(local, pd.DataFrame) and isinstance(dist, pd.DataFrame)
     cols = ["u", "v", "u_lat", "u_lon", "v_lat", "v_lon"]
     a = local[cols].sort_values(["u", "v"], ignore_index=True)
-    b = (dist.to_pandas()[cols]
-         .sort_values(["u", "v"], ignore_index=True))
+    b = dist[cols].sort_values(["u", "v"], ignore_index=True)
     pd.testing.assert_frame_equal(a, b)

@@ -315,23 +315,41 @@ def test_segment_crossings_coordinate_bound_guard(ray_session):
 
 def test_cell_regions_ladder_parity(ray_session):
     """polygons.cell_regions: the under-cap driver kernel and the
-    forced-over-cap distributed dissolve (broadcast_cap=0, which also
-    forces the labelprop rung inside connected_components_auto) return
-    identical (region_id, n_cells, perimeter) rows on a random cell
-    soup with touching, diagonal and isolated regions."""
+    forced-over-cap distributed dissolve (``forced_rung("large")``,
+    which also forces the labelprop rung inside
+    connected_components_auto) return identical (region_id, n_cells,
+    perimeter) rows on a random cell soup with touching, diagonal and
+    isolated regions — also when cells are listed twice and one cell
+    200 times (occupancy is a set), and on no cells."""
+    import pyarrow as pa
     import ray
 
+    from ophois_ray.joins import forced_rung
     from ophois_ray.polygons import cell_regions
 
     rng = np.random.default_rng(5)
     pts = np.unique(rng.integers(0, 22, size=(300, 2)), axis=0)
     df = pd.DataFrame({"x": pts[:, 0].astype(np.int64),
                        "y": pts[:, 1].astype(np.int64)})
-    ds = ray.data.from_pandas(df).repartition(3)
-    fast = (cell_regions(ds, width=64).to_pandas()
-            .sort_values("region_id", ignore_index=True))
-    slow = (cell_regions(ds, width=64, broadcast_cap=0).to_pandas()
-            .astype(np.int64)
-            .sort_values("region_id", ignore_index=True))
-    pd.testing.assert_frame_equal(fast.astype(np.int64), slow)
+    # a small corner of the soup keeps the labelprop rounds few
+    few = df.iloc[:40]
+    dup = pd.concat([few, few] + [few.iloc[:1]] * 200, ignore_index=True)
+
+    def run(frame, rung):
+        # via Arrow: a 0-row from_pandas Dataset drops its columns
+        ds = ray.data.from_arrow(pa.Table.from_pandas(
+            frame, preserve_index=False)).repartition(3)
+        with forced_rung(rung):
+            out = cell_regions(ds, width=64).to_pandas()
+        if not len(out):
+            return out
+        return (out.astype(np.int64)[["region_id", "n_cells", "perimeter"]]
+                .sort_values("region_id", ignore_index=True))
+
+    fast = run(df, "small")
+    pd.testing.assert_frame_equal(fast, run(df, "large"))
     assert fast["n_cells"].sum() == len(df)
+    want = run(few, "small")
+    pd.testing.assert_frame_equal(run(dup, "small"), want)
+    pd.testing.assert_frame_equal(run(dup, "large"), want)
+    assert len(run(df.iloc[:0], "small")) == len(run(df.iloc[:0], "large")) == 0

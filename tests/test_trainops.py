@@ -8,8 +8,22 @@ import pytest
 import ray.data
 
 from ophois_ray import dedup, multimodal, similarity, textstats
+from ophois_ray.joins import forced_rung
 
 pytestmark = pytest.mark.usefixtures("ray_session")
+
+
+def _both_rungs(fn):
+    """[fn() with every ladder forced small, fn() forced large]."""
+    out = []
+    for rung in ("small", "large"):
+        with forced_rung(rung):
+            out.append(fn())
+    return out
+
+
+#: hot-key graph input: a wheel, hub 0 on every spoke and every triangle
+_WHEEL = [(0, i) for i in range(1, 31)] + [(i, i + 1) for i in range(1, 30)]
 
 SF = "/root/testdata/sf0.001"
 
@@ -37,15 +51,21 @@ def test_exact_dedup_counts(docs):
 
 
 def test_exact_dedup_filter_paths_equal(docs):
-    # broadcast_cap=0 forces the bucketed hash-semi-join fallback; it
-    # must be row-identical (and dtype-identical) to the broadcast path
-    a = dedup.exact_dedup_filter(docs).to_pandas()
-    b = dedup.exact_dedup_filter(docs, broadcast_cap=0).to_pandas()
-    cols = sorted(a.columns)
-    assert cols == sorted(b.columns)
-    a2 = a[cols].sort_values(cols).reset_index(drop=True)
-    b2 = b[cols].sort_values(cols).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a2, b2)
+    # the large rung is the bucketed hash-semi-join fallback; it must
+    # be row-identical (and dtype-identical) to the broadcast path —
+    # also when 60 docs share one text, and on an empty corpus
+    full = docs.to_pandas()
+    hot = full.head(60).assign(text="the same text")
+    for src in (docs, ray.data.from_pandas(hot), docs.limit(0)):
+        a, b = (x.to_pandas() for x in
+                _both_rungs(lambda: dedup.exact_dedup_filter(src)))
+        cols = sorted(a.columns)
+        assert cols == sorted(b.columns)
+        a2 = a[cols].sort_values(cols).reset_index(drop=True)
+        b2 = b[cols].sort_values(cols).reset_index(drop=True)
+        pd.testing.assert_frame_equal(a2, b2)
+    assert len(a) == 0 and len(dedup.exact_dedup_filter(
+        ray.data.from_pandas(hot)).to_pandas()) == 1
 
 
 def test_minhash_detects_planted_near_dups(docs):
@@ -63,28 +83,44 @@ def test_minhash_detects_planted_near_dups(docs):
     )
     ds = ray.data.from_pandas(pd.concat([full, planted], ignore_index=True))
     groups = dedup.minhash_near_dup_groups(ds, threshold=0.7)
+    # one return type on every rung: a Dataset the caller may collect
+    assert isinstance(groups, ray.data.Dataset)
+    groups = groups.to_pandas().astype(np.int64)
     gmap = dict(zip(groups["id"], groups["group"]))
     assert 100001 in gmap and 100002 in gmap and 0 in gmap
     assert gmap[100001] == gmap[100002] == gmap[0]
+
+    def forced(*force):
+        with forced_rung(*force):
+            out = dedup.minhash_near_dup_groups(ds, threshold=0.7)
+        assert isinstance(out, ray.data.Dataset)
+        return (out.to_pandas().astype(np.int64)
+                .sort_values("id").reset_index(drop=True))
+
+    want = groups.sort_values("id").reset_index(drop=True)
     # the distributed verify path (pairs hash-join shingle sets, verify
-    # in map_batches; no driver collection) must find identical groups
-    groups_d = dedup.minhash_near_dup_groups(ds, threshold=0.7, driver_verify_cap=0)
+    # in map_batches; no driver collection) with the grouping ladder
+    # left small must find identical groups
     pd.testing.assert_frame_equal(
-        groups.sort_values("id").reset_index(drop=True),
-        groups_d.sort_values("id").reset_index(drop=True),
-    )
-    # forced pair cap: the grouping fallback (connected_components_auto
-    # over the verified pair graph) must produce identical groups to
-    # the driver union-find — and come back as a DATASET: above the
-    # cap the member table is too big to collect, so the library must
-    # never to_pandas() the labels on that path
-    groups_p = dedup.minhash_near_dup_groups(ds, threshold=0.7, driver_pair_cap=0)
-    assert isinstance(groups_p, ray.data.Dataset)
-    pd.testing.assert_frame_equal(
-        groups.sort_values("id").reset_index(drop=True),
-        groups_p.to_pandas().astype(np.int64)
-        .sort_values("id").reset_index(drop=True),
-    )
+        want, forced("large", "dedup.minhash_near_dup_groups"))
+    # driver verify, grouping forced large: connected_components_auto
+    # over the deduped member table instead of the in-memory kernel
+    pd.testing.assert_frame_equal(want, forced("large", "dedup.pairs_to_groups"))
+    # pairs_to_groups alone: a hot id in every pair (listed twice) and
+    # no pairs at all
+    hub = ray.data.from_pandas(pd.DataFrame({
+        "id_a": np.r_[np.full(40, 5), [5]].astype(np.int64),
+        "id_b": np.r_[np.arange(6, 46), [6]].astype(np.int64)}))
+    for verified, n in ((hub, 41), (hub.limit(0), 0)):
+        runs = []
+        for rung in ("small", "large"):
+            with forced_rung(rung, "dedup.pairs_to_groups"):
+                runs.append(dedup.pairs_to_groups(verified).to_pandas())
+        a, b = runs
+        assert len(a) == len(b) == n
+        if n:
+            assert (a["group"] == 5).all() and (b["group"] == 5).all()
+            assert sorted(a["id"]) == sorted(b["id"])
 
 
 def test_jaccard_exact():
@@ -566,8 +602,12 @@ def test_tfidf_topk_small_exact():
 
 
 def _edges_ds(pairs):
+    import pyarrow as pa
+
     u = np.array([p[0] for p in pairs], dtype=np.int64)
     v = np.array([p[1] for p in pairs], dtype=np.int64)
+    if not len(u):  # via Arrow: a 0-row from_pandas Dataset drops its columns
+        return ray.data.from_arrow(pa.table({"u": pa.array(u), "v": pa.array(v)}))
     return ray.data.from_pandas(pd.DataFrame({"u": u, "v": v}))
 
 
@@ -593,8 +633,12 @@ def test_triangle_count_join_path_matches_broadcast():
     )
     ds = _edges_ds(pairs)
     via_bcast = triangle_count(ds)
-    via_join = triangle_count(_edges_ds(pairs), broadcast_cap=0)
+    with forced_rung("large"):
+        via_join = triangle_count(_edges_ds(pairs))
     assert via_bcast == via_join > 0
+    # hot hub: all 29 triangles share node 0; no edges: no triangles
+    assert _both_rungs(lambda: triangle_count(_edges_ds(_WHEEL), num_buckets=4)) == [29, 29]
+    assert _both_rungs(lambda: triangle_count(_edges_ds([]))) == [0, 0]
 
 
 def _tri_table(res) -> pd.DataFrame:
@@ -633,10 +677,17 @@ def test_triangles_per_node_join_matches_broadcast():
         {tuple(sorted(p)) for p in rng.integers(0, n, size=(300, 2)) if p[0] != p[1]}
     )
     via_bcast = _tri_table(triangles_per_node(_edges_ds(pairs)))
-    via_join = _tri_table(triangles_per_node(_edges_ds(pairs), broadcast_cap=0))
+    with forced_rung("large"):
+        via_join = _tri_table(triangles_per_node(_edges_ds(pairs)))
     pd.testing.assert_frame_equal(
         via_bcast.astype(np.int64), via_join.astype(np.int64)
     )
+    w_small, w_large = _both_rungs(
+        lambda: _tri_table(triangles_per_node(_edges_ds(_WHEEL), num_buckets=4)))
+    pd.testing.assert_frame_equal(w_small.astype(np.int64), w_large.astype(np.int64))
+    assert int(w_small.set_index("node").loc[0, "tri"]) == 29
+    assert [len(t.to_pandas()) for t in
+            _both_rungs(lambda: triangles_per_node(_edges_ds([])))] == [0, 0]
     # every triangle credits exactly 3 corners
     assert int(via_bcast["tri"].sum()) == 3 * triangle_count(_edges_ds(pairs))
 
@@ -668,8 +719,15 @@ def test_kcore_peel_join_path_matches_broadcast():
         {tuple(sorted(p)) for p in rng.integers(0, n, size=(400, 2)) if p[0] != p[1]}
     )
     s_b, e_b = kcore_peel(_edges_ds(pairs), k=12, rounds=3)
-    s_j, e_j = kcore_peel(_edges_ds(pairs), k=12, rounds=3, broadcast_cap=0)
+    with forced_rung("large"):
+        s_j, e_j = kcore_peel(_edges_ds(pairs), k=12, rounds=3)
     pd.testing.assert_frame_equal(s_b, s_j)
+    # hot hub (the rim survives k=3 only through the hub) and no edges
+    for extra in (_WHEEL, []):
+        (s0, e0), (s1, e1) = _both_rungs(
+            lambda: kcore_peel(_edges_ds(extra), k=3, rounds=2, num_buckets=4))
+        pd.testing.assert_frame_equal(s0, s1)
+        assert e0.count() == e1.count()
     # peel must actually cascade in this fixture (non-vacuous)
     assert s_b["n_edges"].nunique() > 1
     eb = e_b.to_pandas()
@@ -706,13 +764,15 @@ def test_random_walks_match_oracle_and_paths():
     pairs = sorted(
         {tuple(sorted(p)) for p in rng.integers(0, n, size=(120, 2)) if p[0] != p[1]}
     )
-    exp = _walk_oracle(pairs, 3)
-    for cap in (None, 0):  # broadcast path, then join path
-        kw = {} if cap is None else {"broadcast_cap": 0}
-        got = (random_walks(_edges_ds(pairs), length=3, **kw)
-               .to_pandas().sort_values("start").reset_index(drop=True))
-        assert got.columns.tolist() == ["start", "c1", "c2", "c3"]
-        assert got.astype(np.int64).values.tolist() == exp
+    for extra in (pairs, _WHEEL):
+        exp = _walk_oracle(extra, 3)
+        for got in _both_rungs(
+                lambda: random_walks(_edges_ds(extra), length=3, num_buckets=4)):
+            got = got.to_pandas().sort_values("start").reset_index(drop=True)
+            assert got.columns.tolist() == ["start", "c1", "c2", "c3"]
+            assert got.astype(np.int64).values.tolist() == exp
+    assert [len(w.to_pandas()) for w in
+            _both_rungs(lambda: random_walks(_edges_ds([]), length=3))] == [0, 0]
 
 
 def test_box_smooth_raster_hand_case():
@@ -1133,12 +1193,13 @@ def test_kll_rank_error_bound_and_merge():
 def test_collocations_join_fallback_matches_broadcast():
     texts = ["new york is big", "in new york tonight", "new york new york",
              "the big apple is big", "york new"] * 3
-    src = ray.data.from_pandas(pd.DataFrame({"text": texts}))
-    a = textstats.collocations(src, k=5, min_count=3, num_buckets=4).to_pandas()
-    b = textstats.collocations(
-        src, k=5, min_count=3, num_buckets=4, broadcast_cap=0
-    ).to_pandas()
-    pd.testing.assert_frame_equal(a, b)
+    # plus a hot pair: one text repeats a single bigram 40 times
+    for extra in (texts, texts + ["york new " * 40]):
+        src = ray.data.from_pandas(pd.DataFrame({"text": extra}))
+        a, b = (c.to_pandas() for c in _both_rungs(
+            lambda: textstats.collocations(src, k=5, min_count=3, num_buckets=4)))
+        pd.testing.assert_frame_equal(a, b)
+        assert len(a) > 0
 
 
 def test_pagerank_int_properties():
@@ -1236,14 +1297,18 @@ def test_ngram_jaccard_join_path_matches_broadcast(docs):
         {"id_a": full["doc_id"].to_numpy()[:10],
          "id_b": full["doc_id"].to_numpy()[10:20]}
     ))
-    a = dedup.ngram_jaccard_pairs(ds, cand, k=5, prefix=200).to_pandas()
-    b = dedup.ngram_jaccard_pairs(ds, cand, k=5, prefix=200,
-                                  broadcast_cap=0).to_pandas()
+    ids = full["doc_id"].to_numpy()
+    # plus a hot id (one doc against 20 others, one pair listed twice)
+    hot = ray.data.from_pandas(pd.DataFrame(
+        {"id_a": np.full(21, ids[0]), "id_b": np.r_[ids[1:21], ids[1]]}))
     key = ["id_a", "id_b"]
-    pd.testing.assert_frame_equal(
-        a.sort_values(key).reset_index(drop=True),
-        b.sort_values(key).reset_index(drop=True),
-    )
+    for pairs in (cand, hot):
+        a, b = (x.to_pandas() for x in _both_rungs(
+            lambda: dedup.ngram_jaccard_pairs(ds, pairs, k=5, prefix=200)))
+        pd.testing.assert_frame_equal(
+            a.sort_values(key).reset_index(drop=True),
+            b.sort_values(key).reset_index(drop=True),
+        )
 
 
 def test_pairs_within_runs_band():
@@ -1617,9 +1682,10 @@ def test_bfs_depths_random_parity():
 
 
 def test_bfs_depths_copart_path_equality():
-    """broadcast_cap=0 forces the co-partitioned (hash-join + min-depth
+    """The large rung forces the co-partitioned (hash-join + min-depth
     merge) BFS; it must bit-match the broadcast path on the same
-    random graph."""
+    random graph — and so must the driver loop fed by the distributed
+    degree table (only the edge ladder large), on a hot hub too."""
     from ophois_ray.graphops import bfs_depths
 
     rng = np.random.default_rng(137)
@@ -1628,29 +1694,45 @@ def test_bfs_depths_copart_path_equality():
     via_bcast = (bfs_depths(_edges_ds(pairs), seed_mod=11, rounds=3)
                  .to_pandas().sort_values("node", ignore_index=True)
                  .astype(np.int64))
-    via_join = (bfs_depths(_edges_ds(pairs), seed_mod=11, rounds=3,
-                           broadcast_cap=0, num_buckets=8)
-                .to_pandas().sort_values("node", ignore_index=True)
-                .astype(np.int64))
-    pd.testing.assert_frame_equal(via_join, via_bcast)
+    def run(pairs, *force):
+        with forced_rung(*force):
+            out = bfs_depths(_edges_ds(pairs), seed_mod=11, rounds=3,
+                             num_buckets=8).to_pandas()
+        if not len(out):
+            return out
+        return out.sort_values("node", ignore_index=True).astype(np.int64)
+
+    pd.testing.assert_frame_equal(run(pairs, "large"), via_bcast)
+    pd.testing.assert_frame_equal(
+        run(pairs, "large", "graphops.bfs_depths.edges"), via_bcast)
+    # hub 0 is a seed (split_hash(0) % 11 == 0): every spoke at depth 1
+    wheel = run(_WHEEL, "small")
+    pd.testing.assert_frame_equal(run(_WHEEL, "large"), wheel)
+    assert len(wheel) == 31
+    assert len(run([], "small")) == len(run([], "large")) == 0
 
 
 def test_pagerank_int_copart_path_equality():
-    """broadcast_cap=0 forces the co-partitioned rank-table rounds; the
+    """The large rung forces the co-partitioned rank-table rounds; the
     all-integer arithmetic must make them bit-equal to the broadcast
-    path (and layout-independent: repartitioned input, fewer buckets)."""
+    path (and layout-independent: repartitioned input, fewer buckets),
+    also on a hot hub and on no edges."""
     from ophois_ray.graphops import pagerank_int
 
     rng = np.random.default_rng(141)
     pairs = sorted({tuple(sorted(p)) for p in
                     rng.integers(0, 60, size=(150, 2)) if p[0] != p[1]})
     via_bcast = pagerank_int(_edges_ds(pairs), iters=3).reset_index(drop=True)
-    via_join = pagerank_int(_edges_ds(pairs).repartition(4), iters=3,
-                            broadcast_cap=0, num_buckets=8
-                            ).reset_index(drop=True)
+    with forced_rung("large"):
+        via_join = pagerank_int(_edges_ds(pairs).repartition(4), iters=3,
+                                num_buckets=8).reset_index(drop=True)
     pd.testing.assert_frame_equal(
         via_join.astype(np.int64), via_bcast.astype(np.int64)
     )
+    for extra in (_WHEEL, []):
+        a, b = _both_rungs(lambda: pagerank_int(_edges_ds(extra), iters=3,
+                                                num_buckets=4))
+        pd.testing.assert_frame_equal(a.astype(np.int64), b.astype(np.int64))
 
 
 def test_random_walks_join_path_random_parity():
@@ -1660,8 +1742,9 @@ def test_random_walks_join_path_random_parity():
     pairs = sorted({tuple(sorted(p)) for p in
                     rng.integers(0, 25, size=(80, 2)) if p[0] != p[1]})
     exp = _walk_oracle(pairs, 4)
-    got = (random_walks(_edges_ds(pairs), length=4, broadcast_cap=0)
-           .to_pandas().sort_values("start").reset_index(drop=True))
+    with forced_rung("large"):
+        got = (random_walks(_edges_ds(pairs), length=4)
+               .to_pandas().sort_values("start").reset_index(drop=True))
     assert got.astype(np.int64).values.tolist() == exp
 
 
