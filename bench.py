@@ -261,9 +261,7 @@ def prepare_inputs(sf: float, mult: int = 1, tag: str = "pages"):
                 seed=200 + i, center_lat=hlat, center_lon=hlon,
                 grid=OSM_GRID, spacing_deg=0.0004,
             )
-            xml = xml.replace('id="1', f'id="{i + 1}1').replace('ref="1', f'ref="{i + 1}1')
-            xml = xml.replace('id="9', f'id="{i + 1}9').replace('ref="9', f'ref="{i + 1}9')
-            xml = xml.replace('id="8', f'id="{i + 1}8').replace('ref="8', f'ref="{i + 1}8')
+            xml = osm.prefix_shard_ids(xml, i)
             with open(os.path.join(osm_dir, f"city_{i}.osm"), "w", encoding="utf-8") as f:
                 f.write(xml)
     return pages_dir, osm_dir, n_pages

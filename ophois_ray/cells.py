@@ -198,6 +198,56 @@ def ragged_arange(counts) -> np.ndarray:
     return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
 
 
+def run_starts(a: np.ndarray) -> np.ndarray:
+    """True where a sorted array starts a new run of equal values."""
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = a[1:] != a[:-1]
+    return new
+
+
+def distinct_pairs(a: np.ndarray, b: np.ndarray):
+    """The distinct ``(a, b)`` pairs, sorted by (a, b)."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    keep = run_starts(a) | run_starts(b)
+    return a[keep], b[keep]
+
+
+class KeyIndex:
+    """Key -> values index for cell-key equi-joins (the CSR half of every
+    cell pair join): ``(key, value)`` pairs lexsorted once, repeated
+    pairs dropped; ``keys`` holds the distinct keys and the values of
+    ``keys[i]`` are ``values[indptr[i]:indptr[i + 1]]``, ascending."""
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        keys, self.values = distinct_pairs(keys, values)
+        self.keys, starts = np.unique(keys, return_index=True)
+        self.indptr = np.append(starts, len(keys))
+
+    def _find(self, query_keys: np.ndarray):
+        """(hit, pos): which query keys are present, and their slots."""
+        pos = np.searchsorted(self.keys, query_keys)
+        hit = pos < len(self.keys)
+        hit[hit] = self.keys[pos[hit]] == query_keys[hit]
+        return hit, pos[hit]
+
+    def counts(self, query_keys: np.ndarray) -> np.ndarray:
+        """Number of values under each query key (0 when absent)."""
+        hit, pos = self._find(query_keys)
+        out = np.zeros(len(query_keys), dtype=np.int64)
+        out[hit] = self.indptr[pos + 1] - self.indptr[pos]
+        return out
+
+    def pairs(self, query_keys: np.ndarray):
+        """(query_row, value): every value under each query key, in
+        (query_row, value) order — one searchsorted and one ragged
+        gather, no Python loop."""
+        hit, pos = self._find(query_keys)
+        counts = self.indptr[pos + 1] - self.indptr[pos]
+        value_pos = np.repeat(self.indptr[pos], counts) + ragged_arange(counts)
+        return np.repeat(np.flatnonzero(hit), counts), self.values[value_pos]
+
+
 def cells_covering_segment(lat1, lon1, lat2, lon2, res: int, pad: int = 0):
     """Cells traversed by planar segments; vectorized over edge arrays.
 
@@ -225,21 +275,10 @@ def cells_covering_segment(lat1, lon1, lat2, lon2, res: int, pad: int = 0):
     t = ragged_arange(steps + 1) / steps[edge_idx]
     lat = lat1[edge_idx] + t * (lat2[edge_idx] - lat1[edge_idx])
     lon = lon1[edge_idx] + t * (lon2[edge_idx] - lon1[edge_idx])
-    cells = cell_of(lat, lon, res)
-    # dedup (edge_idx, cell) pairs
-    order = np.lexsort((cells, edge_idx))
-    ei, ce = edge_idx[order], cells[order]
-    keep = np.ones(len(ei), dtype=bool)
-    keep[1:] = (ei[1:] != ei[:-1]) | (ce[1:] != ce[:-1])
-    ei, ce = ei[keep], ce[keep]
+    ei, ce = distinct_pairs(edge_idx, cell_of(lat, lon, res))
     if pad > 0:
         rows, ring = k_ring_many(ce, pad)
-        ei2, ce2 = ei[rows], ring
-        order = np.lexsort((ce2, ei2))
-        ei2, ce2 = ei2[order], ce2[order]
-        keep = np.ones(len(ei2), dtype=bool)
-        keep[1:] = (ei2[1:] != ei2[:-1]) | (ce2[1:] != ce2[:-1])
-        return ei2[keep], ce2[keep]
+        return distinct_pairs(ei[rows], ring)
     return ei, ce
 
 

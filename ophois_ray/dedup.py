@@ -23,6 +23,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .cells import distinct_pairs
 from .joins import DEFAULT_BROADCAST_CAP, BroadcastIndex, ladder, stable_hash
 
 _LOG = logging.getLogger("ophois_ray.dedup")
@@ -415,11 +416,8 @@ def _kgram_poly_hashes(texts, k: int = 8, prefix: int | None = None):
                 out_d.append(docidx[ended])
     flat = np.concatenate(out_h) if out_h else np.empty(0, np.uint64)
     docs = np.concatenate(out_d) if out_d else np.empty(0, np.int64)
-    order = np.lexsort((flat, docs))
-    flat, docs = flat[order], docs[order]
-    keep = np.ones(len(flat), dtype=bool)
-    keep[1:] = (flat[1:] != flat[:-1]) | (docs[1:] != docs[:-1])
-    return flat[keep], docs[keep]
+    docs, flat = distinct_pairs(docs, flat)
+    return flat, docs
 
 
 def _minhash_int_mins(h: np.ndarray, d: np.ndarray, n_docs: int,

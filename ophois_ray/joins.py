@@ -29,6 +29,8 @@ import pyarrow as pa
 
 import ray
 
+from .cells import ragged_arange
+
 DEFAULT_BROADCAST_CAP = 5_000_000  # rows
 _SINGLE_TASK_CAP = 4_000_000  # deduped rows ``distinct_rows`` merges in one task
 LADDER_LOG_MAX = 4096  # rung decisions kept: a long-lived driver keeps the latest
@@ -257,11 +259,22 @@ def hash_join(
     inside ``map_groups`` joins each bucket. One shuffle; memory per
     task bounded by the largest bucket — raise ``num_buckets`` (or salt
     the key upstream) for skewed keys.
+
+    A 0-row side without a schema (what Ray gives for an empty map
+    output) makes an inner join return that empty side; every other
+    ``how`` raises ``ValueError``.
     """
     keys = [on] if isinstance(on, str) else list(on)
 
-    lcols = list(left.schema().names)
-    rcols = list(right.schema().names)
+    lschema, rschema = left.schema(), right.schema()
+    for side, ds, schema in (("left", left, lschema), ("right", right, rschema)):
+        if schema is None:
+            if how != "inner":
+                raise ValueError(f"hash_join(how={how!r}): the {side} side is "
+                                 "a 0-row Dataset without a schema")
+            return ds
+    lcols = list(lschema.names)
+    rcols = list(rschema.names)
     rvalue = [c for c in rcols if c not in keys]
     # columns that collide get the right suffix
     rename_r = {c: (c + right_suffix if c in lcols else c) for c in rvalue}
@@ -467,11 +480,8 @@ def range_join(
         b1 = np.floor(df[r_hi].to_numpy(np.float64) / bucket_width).astype(np.int64)
         counts = (b1 - b0 + 1).clip(1, None)
         rows = np.repeat(np.arange(len(df), dtype=np.int64), counts)
-        local = np.arange(int(counts.sum())) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
         out = df.iloc[rows].reset_index(drop=True)
-        out["__bucket"] = b0[rows] + local
+        out["__bucket"] = b0[rows] + ragged_arange(counts)
         out["__side"] = 1
         for c in lcols:
             if c not in out.columns:

@@ -229,6 +229,17 @@ def synthetic_city(
     return "\n".join(lines), nodes_df, ways_df
 
 
+def prefix_shard_ids(xml: str, shard: int) -> str:
+    """Prefix the ids and refs of a ``synthetic_city`` shard with
+    ``shard + 1`` (globally unique ids across shards). The rewrite order
+    1, 9, 8 is part of the cached bytes: a later rewrite also sees the
+    ids an earlier one made, so shards 7 and 8 prefix some ids twice."""
+    for d in "198":
+        xml = xml.replace(f'id="{d}', f'id="{shard + 1}{d}').replace(
+            f'ref="{d}', f'ref="{shard + 1}{d}')
+    return xml
+
+
 def write_synthetic_city_files(
     outdir: str, n_files: int = 4, seed: int = 42, **city_kw
 ) -> list[str]:
@@ -242,10 +253,7 @@ def write_synthetic_city_files(
             center_lon=2.0 + 0.5 * k,
             **city_kw,
         )
-        # shift ids per shard to keep them globally unique
-        xml = xml.replace('id="1', f'id="{k + 1}1').replace('ref="1', f'ref="{k + 1}1')
-        xml = xml.replace('id="9', f'id="{k + 1}9').replace('ref="9', f'ref="{k + 1}9')
-        xml = xml.replace('id="8', f'id="{k + 1}8').replace('ref="8', f'ref="{k + 1}8')
+        xml = prefix_shard_ids(xml, k)
         path = os.path.join(outdir, f"city_{k}.osm")
         with open(path, "w", encoding="utf-8") as f:
             f.write(xml)

@@ -40,6 +40,7 @@ import pandas as pd
 import pyarrow as pa
 
 
+from .cells import run_starts
 from .joins import _task, stable_hash
 
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.S)
@@ -281,13 +282,9 @@ def _build_winner_arrays_impl(*tables):
     # sum — all vectorized, no per-row python.
     order = np.lexsort((ts, urls))
     urls, ts, n_at_win = urls[order], ts[order], n_at_win[order]
-    first = np.empty(len(urls), dtype=bool)
-    first[0] = True
-    first[1:] = urls[1:] != urls[:-1]
+    first = run_starts(urls)
     starts = np.flatnonzero(first)
-    pair_first = first.copy()
-    pair_first[1:] |= ts[1:] != ts[:-1]
-    pair_starts = np.flatnonzero(pair_first)
+    pair_starts = np.flatnonzero(first | run_starts(ts))
     pair_sums = np.add.reduceat(n_at_win, pair_starts)
     win_urls = urls[starts]
     win_ts = ts[starts]
@@ -792,8 +789,7 @@ def resolve_redirects(edges, *, src_col: str = "src", dst_col: str = "dst",
         d = np.concatenate(ds_) if ds_ else np.array([], np.int64)
         order = np.lexsort((d, s))
         s, d = s[order], d[order]
-        first = np.ones(len(s), dtype=bool)
-        first[1:] = s[1:] != s[:-1]
+        first = run_starts(s)
         s, d = s[first], d[first]
         final, hops = _redirect_kernel(s, d, max_hops)
         return ray.data.from_arrow(pa.table({

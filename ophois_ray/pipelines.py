@@ -206,9 +206,7 @@ def _flagship_osm_dir() -> str:
             seed=_FLAGSHIP_SEED + i, center_lat=hlat, center_lon=hlon,
             grid=_FLAGSHIP_GRID, spacing_deg=_FLAGSHIP_SPACING,
         )
-        xml = xml.replace('id="1', f'id="{i + 1}1').replace('ref="1', f'ref="{i + 1}1')
-        xml = xml.replace('id="9', f'id="{i + 1}9').replace('ref="9', f'ref="{i + 1}9')
-        xml = xml.replace('id="8', f'id="{i + 1}8').replace('ref="8', f'ref="{i + 1}8')
+        xml = osm.prefix_shard_ids(xml, i)
         tmp = path + f".__tmp_{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as f:
             f.write(xml)

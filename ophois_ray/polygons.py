@@ -8,17 +8,17 @@ prefilter over the same quadtree index the rest of the engine uses.
 
 Scale design (100 TB side):
 - The polygon set is the SMALL side: built once on the driver into
-  flat numpy arrays (edges in CSR by polygon + a sorted cell->polygon
-  prefilter table), shipped via ``ray.put`` once and cached per worker
-  process (`pages._fetch_cached`, as the kNN snap's edge CSR) —
-  the big point table streams through stateless fused map tasks with
-  ZERO shuffle.
+  flat numpy arrays plus two ``cells.KeyIndex`` (polygon -> edges and
+  the cell -> polygons prefilter), shipped via ``ray.put`` once and
+  cached per worker process (`pages._fetch_cached`, as the kNN snap's
+  edge index) — the big point table streams through stateless fused
+  map tasks with ZERO shuffle.
 - Candidate pruning is cell-granular: each polygon's bbox is covered
   with index cells at ``prefilter_res``; a point only runs the exact
   edge test against polygons whose covering contains the point's cell
-  (two searchsorted calls per batch, like the kNN index).
+  (one ``KeyIndex.pairs`` gather per batch, like the kNN index).
 - The exact test is fully vectorized: candidate (point, polygon) pairs
-  expand to (pair, edge) rows via CSR arithmetic, one boolean crossing
+  expand to (pair, edge) rows via one ragged gather, one boolean crossing
   kernel, np.add.at parity reduction. No Python per-row loop.
 - The crossing kernel uses only exactly-rounded IEEE ops (+,-,*,/ and
   comparisons) in a FIXED order mirrored by ``oracle_sql_pip_edges``
@@ -53,7 +53,7 @@ __all__ = [
 
 
 class PolygonIndex:
-    """Broadcast-side polygon set: CSR edge arrays + cell prefilter.
+    """Broadcast-side polygon set: edge arrays + cell prefilter.
 
     ``polys``: dict {poly_id(int) -> [(lat, lon), ...]} — open rings
     (the closing edge back to vertex 0 is added automatically).
@@ -75,15 +75,14 @@ class PolygonIndex:
             pids.append(np.full(int(keep.sum()), pid, dtype=np.int64))
             y1.append(la[keep]); x1.append(lo[keep])
             y2.append(nla[keep]); x2.append(nlo[keep])
-        self.edge_pid = np.concatenate(pids) if pids else np.array([], np.int64)
+        edge_pid = np.concatenate(pids) if pids else np.array([], np.int64)
         self.y1 = np.concatenate(y1) if y1 else np.array([], np.float64)
         self.x1 = np.concatenate(x1) if x1 else np.array([], np.float64)
         self.y2 = np.concatenate(y2) if y2 else np.array([], np.float64)
         self.x2 = np.concatenate(x2) if x2 else np.array([], np.float64)
-        # CSR by polygon (edge_pid is built sorted by pid)
-        self.poly_ids, starts = np.unique(self.edge_pid, return_index=True)
-        self.estarts = starts
-        self.eends = np.append(starts[1:], len(self.edge_pid))
+        # polygon -> its edge rows
+        self.poly_edges = cells.KeyIndex(
+            edge_pid, np.arange(len(edge_pid), dtype=np.int64))
         # cell prefilter: every cell covered by each polygon's bbox
         self.res = prefilter_res
         pc, pp = [], []
@@ -101,32 +100,7 @@ class PolygonIndex:
             pp.append(np.full(len(cset), pid, dtype=np.int64))
         allc = np.concatenate(pc) if pc else np.array([], np.int64)
         allp = np.concatenate(pp) if pp else np.array([], np.int64)
-        order = np.lexsort((allp, allc))
-        self.cell_sorted = allc[order]
-        self.cell_pid = allp[order]
-        self.ucells, cs = np.unique(self.cell_sorted, return_index=True)
-        self.cstarts = cs
-        self.cends = np.append(cs[1:], len(self.cell_sorted))
-
-    def _candidates(self, lat: np.ndarray, lon: np.ndarray):
-        """(point_row, poly_id) candidate pairs via the cell prefilter."""
-        if len(self.ucells) == 0 or len(lat) == 0:
-            return np.array([], np.int64), np.array([], np.int64)
-        pcell = cells.cell_of(lat, lon, self.res)
-        pos = np.searchsorted(self.ucells, pcell)
-        pos_c = np.minimum(pos, len(self.ucells) - 1)
-        hit = self.ucells[pos_c] == pcell
-        rows = np.flatnonzero(hit)
-        s = self.cstarts[pos_c[hit]]
-        e = self.cends[pos_c[hit]]
-        counts = e - s
-        total = int(counts.sum())
-        if total == 0:
-            return np.array([], np.int64), np.array([], np.int64)
-        pr = np.repeat(rows, counts)
-        base = np.repeat(s, counts)
-        local = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        return pr, self.cell_pid[base + local]
+        self.cell_polys = cells.KeyIndex(allc, allp)
 
     def join(self, lat, lon):
         """Exact inner point-in-polygon join.
@@ -137,18 +111,12 @@ class PolygonIndex:
         """
         lat = np.asarray(lat, dtype=np.float64)
         lon = np.asarray(lon, dtype=np.float64)
-        prow, ppid = self._candidates(lat, lon)
+        # (point_row, poly_id) candidate pairs via the cell prefilter
+        prow, ppid = self.cell_polys.pairs(cells.cell_of(lat, lon, self.res))
         if len(prow) == 0:
             return prow, ppid
-        # expand candidate pairs -> (pair, edge) rows via polygon CSR
-        pslot = np.searchsorted(self.poly_ids, ppid)
-        s = self.estarts[pslot]
-        counts = self.eends[pslot] - s
-        total = int(counts.sum())
-        pair_idx = np.repeat(np.arange(len(prow)), counts)
-        base = np.repeat(s, counts)
-        local = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        ei = base + local
+        # expand candidate pairs -> (pair, edge) rows
+        pair_idx, ei = self.poly_edges.pairs(ppid)
         py = lat[prow][pair_idx]
         px = lon[prow][pair_idx]
         y1, x1 = self.y1[ei], self.x1[ei]
@@ -342,8 +310,7 @@ def polygon_area_centroid(verts, *, scale: int = 1024, num_buckets: int = 16):
         ix = np.floor(df["lon"].to_numpy(np.float64) * float(scale)).astype(np.int64)
         iy = np.floor(df["lat"].to_numpy(np.float64) * float(scale)).astype(np.int64)
         m = len(pid)
-        first = np.ones(m, dtype=bool)
-        first[1:] = pid[1:] != pid[:-1]
+        first = cells.run_starts(pid)
         starts = np.where(first)[0]
         nxt = np.arange(1, m + 1, dtype=np.int64)
         last = np.zeros(m, dtype=bool)
@@ -857,6 +824,10 @@ def _ccw(px, py, qx, qy, rx, ry):
     return (qx - px) * (ry - py) - (qy - py) * (rx - px)
 
 
+#: candidate pairs ``segment_crossings`` gathers per chunk of A rows
+_PAIR_CHUNK = 1 << 18
+
+
 def segment_crossings(a_ds, b_ds, *, cell: int = 64,
                       id_col: str = "seg_id", num_buckets: int = 64):
     """Count PROPER crossings (strict interior intersection — touching
@@ -867,10 +838,13 @@ def segment_crossings(a_ds, b_ds, *, cell: int = 64,
     Scale shape — the planar-overlay join: each segment emits its bbox
     covering cells at resolution ``cell`` (np.repeat explode, the 2-D
     analog of the window covering explode); ONE cell-bucket shuffle
-    co-locates candidates; a pair is evaluated ONLY in the cell holding
-    the min corner of its bbox overlap (a unique cell both segments
-    cover), so no cross-cell pair dedup pass is needed; per-bucket
-    (seg_id, n) partials bound the final tiny merge. Coordinates must
+    co-locates candidates; each bucket gathers its same-cell (A, B) row
+    pairs with one ``cells.KeyIndex`` over its B rows, in chunks of A
+    rows holding about ``_PAIR_CHUNK`` pairs (no per-cell loop); a pair
+    is evaluated ONLY in the cell holding the min corner of its bbox
+    overlap (a unique cell both segments cover), so no cross-cell pair
+    dedup pass is needed; per-bucket (seg_id, n) partials bound the
+    final tiny merge. Coordinates must
     be non-negative (floor vs trunc division parity with SQL mirrors)
     and below ``cell * 2^21`` (~134M at cell=64): the cell key packs as
     ``gx * 2^21 + gy``, so a gy >= 2^21 would corrupt the min-corner
@@ -896,7 +870,7 @@ def segment_crossings(a_ds, b_ds, *, cell: int = 64,
         n = nx * ny
         ridx = np.repeat(np.arange(len(df)), n)
         # per-row local cell enumeration: k // ny gives the x step
-        k = np.arange(len(ridx)) - np.repeat(np.cumsum(n) - n, n)
+        k = cells.ragged_arange(n)
         gx = cx1[ridx] + k // ny[ridx]
         gy = cy1[ridx] + k % ny[ridx]
         return pd.DataFrame({
@@ -905,43 +879,43 @@ def segment_crossings(a_ds, b_ds, *, cell: int = 64,
             "x1": x1[ridx], "y1": y1[ridx],
             "x2": x2[ridx], "y2": y2[ridx]})
 
-    cells = (a_ds.map_batches(lambda df: cover(df, 0), batch_format="pandas")
-             .union(b_ds.map_batches(lambda df: cover(df, 1),
-                                     batch_format="pandas")))
+    covered = (a_ds.map_batches(lambda df: cover(df, 0), batch_format="pandas")
+               .union(b_ds.map_batches(lambda df: cover(df, 1),
+                                       batch_format="pandas")))
+
+    def crossing_ids(a, b, ia, ib):
+        """A seg ids of the proper crossings among the (A row, B row) pairs."""
+        ax1 = a["x1"][ia]; ay1 = a["y1"][ia]; ax2 = a["x2"][ia]; ay2 = a["y2"][ia]
+        bx1 = b["x1"][ib]; by1 = b["y1"][ib]; bx2 = b["x2"][ib]; by2 = b["y2"][ib]
+        ck = a["ck"][ia]
+        ox = np.maximum(np.minimum(ax1, ax2), np.minimum(bx1, bx2))
+        oy = np.maximum(np.minimum(ay1, ay2), np.minimum(by1, by2))
+        # evaluate the pair only in its bbox-overlap min-corner cell
+        here = (ox // cell == ck // (1 << 21)) & (oy // cell == ck % (1 << 21))
+        d1 = _ccw(bx1, by1, bx2, by2, ax1, ay1)
+        d2 = _ccw(bx1, by1, bx2, by2, ax2, ay2)
+        d3 = _ccw(ax1, ay1, ax2, ay2, bx1, by1)
+        d4 = _ccw(ax1, ay1, ax2, ay2, bx2, by2)
+        hit = here & ((d1 > 0) != (d2 > 0)) & (d1 != 0) & (d2 != 0) \
+            & ((d3 > 0) != (d4 > 0)) & (d3 != 0) & (d4 != 0)
+        return a["sid"][ia][hit]
 
     def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for ck, g in df.groupby("ck", sort=False):
-            a = g[g["side"] == 0]
-            b = g[g["side"] == 1]
-            if not len(a) or not len(b):
-                continue
-            na, nb = len(a), len(b)
-            ia = np.repeat(np.arange(na), nb)
-            ib = np.tile(np.arange(nb), na)
-            ax1 = a["x1"].to_numpy(np.int64)[ia]; ay1 = a["y1"].to_numpy(np.int64)[ia]
-            ax2 = a["x2"].to_numpy(np.int64)[ia]; ay2 = a["y2"].to_numpy(np.int64)[ia]
-            bx1 = b["x1"].to_numpy(np.int64)[ib]; by1 = b["y1"].to_numpy(np.int64)[ib]
-            bx2 = b["x2"].to_numpy(np.int64)[ib]; by2 = b["y2"].to_numpy(np.int64)[ib]
-            # evaluate the pair only in its bbox-overlap min-corner cell
-            ox = np.maximum(np.minimum(ax1, ax2), np.minimum(bx1, bx2))
-            oy = np.maximum(np.minimum(ay1, ay2), np.minimum(by1, by2))
-            ckx = np.int64(ck) // (1 << 21); cky = np.int64(ck) % (1 << 21)
-            here = (ox // cell == ckx) & (oy // cell == cky)
-            d1 = _ccw(bx1, by1, bx2, by2, ax1, ay1)
-            d2 = _ccw(bx1, by1, bx2, by2, ax2, ay2)
-            d3 = _ccw(ax1, ay1, ax2, ay2, bx1, by1)
-            d4 = _ccw(ax1, ay1, ax2, ay2, bx2, by2)
-            hit = here & ((d1 > 0) != (d2 > 0)) & (d1 != 0) & (d2 != 0) \
-                & ((d3 > 0) != (d4 > 0)) & (d3 != 0) & (d4 != 0)
-            if hit.any():
-                outs.append(pd.DataFrame(
-                    {"seg_id": a["sid"].to_numpy(np.int64)[ia][hit],
-                     "n": np.int64(1)}))
-        if not outs:
-            return pd.DataFrame({"seg_id": pd.Series(dtype=np.int64),
-                                 "n": pd.Series(dtype=np.int64)})
-        t = pd.concat(outs, ignore_index=True)
+        side = df["side"].to_numpy(np.int64)
+        a, b = ({c: df[c].to_numpy(np.int64)[side == s]
+                 for c in ("ck", "sid", "x1", "y1", "x2", "y2")} for s in (0, 1))
+        index = cells.KeyIndex(b["ck"], np.arange(len(b["ck"]), dtype=np.int64))
+        # chunks of A rows holding about _PAIR_CHUNK candidate pairs each
+        # (a hot cell's na * nb pairs are never all held at once)
+        n = index.counts(a["ck"])
+        chunk = (np.cumsum(n) - n) // _PAIR_CHUNK
+        bounds = np.append(np.flatnonzero(cells.run_starts(chunk)), len(chunk))
+        hits = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            ia, ib = index.pairs(a["ck"][lo:hi])
+            hits.append(crossing_ids(a, b, ia + lo, ib))
+        t = pd.DataFrame({"seg_id": np.concatenate([*hits, np.empty(0, np.int64)]),
+                          "n": np.int64(1)})
         g = t.groupby("seg_id", as_index=False)["n"].sum()
         g["n"] = g["n"].astype(np.int64)
         return g
@@ -951,6 +925,6 @@ def segment_crossings(a_ds, b_ds, *, cell: int = 64,
         return pd.DataFrame({"seg_id": g["seg_id"].to_numpy(np.int64),
                              "n_cross": g["n"].to_numpy(np.int64)})
 
-    parts = grouped_apply(cells, "ck", bucket, num_buckets=num_buckets)
+    parts = grouped_apply(covered, "ck", bucket, num_buckets=num_buckets)
     return grouped_apply(parts, "seg_id", merge,
                          num_buckets=max(8, num_buckets // 4))

@@ -5014,13 +5014,9 @@ def _copurchase_edges(sf_dir: str):
         # distinct, then offset-shift pair generation
         from .graphops import pairs_within_runs
 
-        o = df["l_orderkey"].to_numpy(np.int64)
-        p = df["l_partkey"].to_numpy(np.int64)
-        order = np.lexsort((p, o))
-        o, p = o[order], p[order]
-        keep = np.ones(len(o), dtype=bool)
-        keep[1:] = (o[1:] != o[:-1]) | (p[1:] != p[:-1])
-        return pd.DataFrame(pairs_within_runs(o[keep], p[keep]))
+        o, p = cells.distinct_pairs(df["l_orderkey"].to_numpy(np.int64),
+                                    df["l_partkey"].to_numpy(np.int64))
+        return pd.DataFrame(pairs_within_runs(o, p))
 
     pairs = grouped_apply(li, "l_orderkey", pairs_fn)
     # distinct (u, v): capped narrow merge instead of a second keyed
@@ -6183,13 +6179,8 @@ def _chain_edges(sf_dir: str):
 
     def chains(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["l_quantity"].to_numpy(np.float64) >= 48.0]
-        o = df["l_orderkey"].to_numpy(np.int64)
-        p = df["l_partkey"].to_numpy(np.int64)
-        order = np.lexsort((p, o))
-        o, p = o[order], p[order]
-        keep = np.ones(len(o), dtype=bool)
-        keep[1:] = (o[1:] != o[:-1]) | (p[1:] != p[:-1])
-        o, p = o[keep], p[keep]
+        o, p = cells.distinct_pairs(df["l_orderkey"].to_numpy(np.int64),
+                                    df["l_partkey"].to_numpy(np.int64))
         if len(o) < 2:
             return pd.DataFrame(
                 {"u": pd.Series(dtype=np.int64), "v": pd.Series(dtype=np.int64)}
@@ -7779,8 +7770,7 @@ def q_events_running_total(sf_dir: str):
         c = df["cents"].to_numpy(np.int64)
         grp = df["user_id"].to_numpy(np.int64)
         tot = np.cumsum(c)
-        first = np.ones(len(df), dtype=bool)
-        first[1:] = grp[1:] != grp[:-1]
+        first = cells.run_starts(grp)
         base = np.repeat(tot[first] - c[first],
                          np.diff(np.append(np.where(first)[0], len(df))))
         df["running_cents"] = tot - base

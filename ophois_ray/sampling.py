@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .cells import ragged_arange, run_starts
 from .joins import grouped_apply
 
 #: Mersenne prime 2^61-1 — same modulus as textstats fingerprints.
@@ -290,8 +291,7 @@ def pack_sequences(ds, *, cost_col: str, id_col: str = "doc_id",
         # within-range exclusive prefix: global cumsum minus each
         # range's first-row running total
         run = np.cumsum(cost) - cost
-        first = np.ones(len(ids), dtype=bool)
-        first[1:] = rid[1:] != rid[:-1]
+        first = run_starts(rid)
         base = np.repeat(run[first], np.diff(np.append(np.where(first)[0], len(ids))))
         pos = np.minimum(np.searchsorted(rids_, rid), len(rids_) - 1)
         if len(rid) and not np.array_equal(rids_[pos], rid):
@@ -308,9 +308,7 @@ def pack_sequences(ds, *, cost_col: str, id_col: str = "doc_id",
         bin_last = (start + cost - 1) // capacity
         nb = (bin_last - bin_first + 1).astype(np.int64)
         row = np.repeat(np.arange(len(ids), dtype=np.int64), nb)
-        boff = np.arange(len(row), dtype=np.int64) - np.repeat(
-            np.cumsum(nb) - nb, nb)
-        bins = bin_first[row] + boff
+        bins = bin_first[row] + ragged_arange(nb)
         gs = np.maximum(start[row], bins * capacity)
         ge = np.minimum(start[row] + cost[row], (bins + 1) * capacity)
         return pd.DataFrame({
@@ -342,8 +340,7 @@ def _skyline2d_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     order = np.lexsort((y, x))
     xs, ys = x[order], y[order]
-    first = np.ones(m, dtype=bool)
-    first[1:] = xs[1:] != xs[:-1]
+    first = run_starts(xs)
     # min y within each equal-x group (groups are contiguous)
     gidx = np.cumsum(first) - 1
     gmin = np.minimum.reduceat(ys, np.where(first)[0])

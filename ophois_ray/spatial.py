@@ -2,21 +2,22 @@
 (north rule: point-in-cell assignment, k-ring kNN snap, hash-partitioned
 cell-to-cell joins with explicit skew-aware repartitioning of hot cells).
 
-Nearest-edge kernel (one for both rungs): the edges are held in a CSR
-(``_EdgeCSR``) of key -> edge ids over a distinct edge table sorted by
-(u, v), so the integer edge id IS the (u, v) tie-break. A batch of page
-rows gathers its (page row, edge id) candidate pairs with one ragged
-``pairs(query_keys)`` call, scores them by planar sqdist and keeps the
-k nearest distinct edges per page with one lexsort (``_top_k``);
-``_snap_rows`` builds the output rows.
+Nearest-edge kernel (one for both rungs): the edges are held in a
+``cells.KeyIndex`` of key -> edge ids (``_EdgeCSR``, which adds the edge
+columns) over a distinct edge table sorted by (u, v), so the integer
+edge id IS the (u, v) tie-break. A batch of page rows gathers its
+(page row, edge id) candidate pairs with one ragged ``pairs(query_keys)``
+call, scores them by planar sqdist and keeps the k nearest distinct
+edges per page with one lexsort (``_top_k``); ``_snap_rows`` builds the
+output rows.
 
-- Broadcast rung (``knn_snap_broadcast``): the CSR is keyed by the cells
+- Broadcast rung (``knn_snap_broadcast``): the index is keyed by the cells
   each edge covers, built once on the driver and broadcast; every page
   batch queries it with the k-ring of its cells — zero shuffle.
 - Partitioned rung (``knn_snap``): both sides are mapped to salted cell
   keys (pages: the point's cell expanded to its k-ring; edges: every
   cell the segment covers), unioned with a side tag and hash-partitioned
-  on the key; each bucket builds one CSR over its deduplicated edge rows
+  on the key; each bucket builds one index over its deduplicated edge rows
   and queries it with its page rows' keys (no per-cell loop). A second
   partition on url then ranks each url's candidates by (sqdist, u, v) in
   one vectorized pass. Two shuffles total, both keyed on bounded-size
@@ -104,13 +105,6 @@ _SALT_MAX = 1 << _SALT_BITS
 _BROADCAST_EDGE_CAP = 20_000_000
 
 
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """True where a sorted array starts a new run of equal values."""
-    new = np.ones(len(a), dtype=bool)
-    new[1:] = a[1:] != a[:-1]
-    return new
-
-
 def _distinct_edges(df: pd.DataFrame):
     """(row -> edge id, distinct edge table) over the ``_EDGE_COLS`` of
     ``df``; ids follow (u, v) order (then coordinates), so the integer
@@ -119,34 +113,17 @@ def _distinct_edges(df: pd.DataFrame):
     return eid, df.iloc[np.unique(eid, return_index=True)[1]]
 
 
-class _EdgeCSR:
-    """CSR of key -> edge ids over a distinct edge table sorted by (u, v),
-    plus that table's columns. ``keys[i]`` is a key under which edge
-    ``edge_idx[i]`` is found (a covered cell, or a salted cell key);
-    repeated (key, edge) pairs are dropped."""
+class _EdgeCSR(cells.KeyIndex):
+    """``cells.KeyIndex`` of key -> edge ids over a distinct edge table
+    sorted by (u, v), plus that table's columns. A key is a cell the
+    edge covers, or a salted cell key."""
 
     def __init__(self, keys: np.ndarray, edge_idx: np.ndarray, edges: pd.DataFrame):
-        order = np.lexsort((edge_idx, keys))
-        keys, edge_idx = keys[order], edge_idx[order]
-        keep = _run_starts(keys) | _run_starts(edge_idx)
-        keys, self.edge_idx = keys[keep], edge_idx[keep]
-        self.keys, starts = np.unique(keys, return_index=True)
-        self.indptr = np.append(starts, len(keys))
+        super().__init__(keys, edge_idx)
         self.u = edges["u"].to_numpy(object)
         self.v = edges["v"].to_numpy(object)
         self.alat, self.alon, self.blat, self.blon = (
             edges[c].to_numpy(np.float64) for c in _EDGE_COLS[2:])
-
-    def pairs(self, query_keys: np.ndarray):
-        """(query_row, edge_idx): every edge under each query key, gathered
-        without a Python loop."""
-        pos = np.searchsorted(self.keys, query_keys)
-        hit = pos < len(self.keys)
-        hit[hit] = self.keys[pos[hit]] == query_keys[hit]
-        pos = pos[hit]
-        counts = self.indptr[pos + 1] - self.indptr[pos]
-        edge_pos = np.repeat(self.indptr[pos], counts) + cells.ragged_arange(counts)
-        return np.repeat(np.flatnonzero(hit), counts), self.edge_idx[edge_pos]
 
 
 def _top_k(row: np.ndarray, edge_idx: np.ndarray, sqdist: np.ndarray, k: int):
@@ -154,8 +131,8 @@ def _top_k(row: np.ndarray, edge_idx: np.ndarray, sqdist: np.ndarray, k: int):
     (row, sqdist, edge_idx) order: ties on sqdist go to the smaller edge
     id, and a repeated (row, edge) pair counts once."""
     order = np.lexsort((edge_idx, sqdist, row))
-    new_row = _run_starts(row[order])
-    keep = new_row | _run_starts(edge_idx[order])
+    new_row = cells.run_starts(row[order])
+    keep = new_row | cells.run_starts(edge_idx[order])
     order, new_row = order[keep], new_row[keep]
     pos = np.arange(len(order))
     rank = pos - np.maximum.accumulate(np.where(new_row, pos, 0))
@@ -310,8 +287,8 @@ def knn_snap(
         # numeric sort first: only rows in a url's first k sqdist runs
         # can rank < k, so the object (u, v) tie-break sees just those
         order = np.lexsort((sq, url))
-        new_url = _run_starts(url[order])
-        run = np.cumsum(new_url | _run_starts(sq[order]))
+        new_url = cells.run_starts(url[order])
+        run = np.cumsum(new_url | cells.run_starts(sq[order]))
         cand = order[run - run[new_url][np.cumsum(new_url) - 1] < k]
         d = df.iloc[cand]
         cu = pd.factorize(d["u"], sort=True)[0]

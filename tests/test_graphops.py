@@ -179,6 +179,26 @@ def test_hash_join_matches_pandas(ray_session):
     )
 
 
+def test_hash_join_schema_less_empty_side(ray_session):
+    """A 0-row side without a schema (an empty map output): an inner
+    join returns 0 rows, every other ``how`` raises naming the side."""
+    import pyarrow as pa
+    import ray.data
+    from ophois_ray.joins import hash_join
+
+    empty = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())})).map_batches(
+        lambda df: df, batch_format="pandas")
+    assert empty.schema() is None
+    full = ray.data.from_pandas(pd.DataFrame({"k": [1, 2], "y": [3, 4]}))
+    assert hash_join(empty, full, "k").count() == 0
+    assert hash_join(full, empty, "k").count() == 0
+    for how in ("left", "right", "outer"):
+        with pytest.raises(ValueError, match="left side"):
+            hash_join(empty, full, "k", how=how)
+        with pytest.raises(ValueError, match="right side"):
+            hash_join(full, empty, "k", how=how)
+
+
 def test_distinct_rows_paths_identical(ray_session):
     """joins.distinct_rows: the capped narrow-merge path and the
     forced bucketed grouped_apply path (large rung) produce the SAME

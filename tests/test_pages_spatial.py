@@ -915,8 +915,7 @@ def test_parse_robots_and_decide_rep_semantics():
 def test_hreflang_clusters_rungs_agree():
     """pages.hreflang_clusters through both rungs of the components
     ladder: a 4-page alternate chain, a hot page that 30 others (and
-    itself) alternate to, and a duplicated page row. (An empty crawl
-    fails before the ladder: the url join needs a schema on both sides.)"""
+    itself) alternate to, a duplicated page row, and an empty crawl."""
     import pyarrow as pa
 
     def page(pid, url, alts):
@@ -943,6 +942,7 @@ def test_hreflang_clusters_rungs_agree():
 
     for rung in ("small", "large"):
         assert run(rows, rung) == want, rung
+        assert run([], rung) == {}, rung
 
 
 # ------------------------------------------------------- redirect chains

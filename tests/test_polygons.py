@@ -313,6 +313,95 @@ def test_segment_crossings_coordinate_bound_guard(ray_session):
     assert got["n_cross"].tolist() == [1]
 
 
+def _brute_crossings(A, B):
+    """(seg_id, n_cross) by the brute-force strict-crossing double loop."""
+    from ophois_ray.polygons import _ccw
+
+    counts: dict = {}
+    for a in A.itertuples():
+        for b in B.itertuples():
+            d1 = _ccw(b.x1, b.y1, b.x2, b.y2, a.x1, a.y1)
+            d2 = _ccw(b.x1, b.y1, b.x2, b.y2, a.x2, a.y2)
+            d3 = _ccw(a.x1, a.y1, a.x2, a.y2, b.x1, b.y1)
+            d4 = _ccw(a.x1, a.y1, a.x2, a.y2, b.x2, b.y2)
+            if d1 * d2 < 0 and d3 * d4 < 0:
+                counts[a.seg_id] = counts.get(a.seg_id, 0) + 1
+    return pd.DataFrame({"seg_id": pd.Series(list(counts), dtype=np.int64),
+                         "n_cross": pd.Series(list(counts.values()), dtype=np.int64)}
+                        ).sort_values("seg_id", ignore_index=True)
+
+
+def _segs(rows):
+    return pd.DataFrame(np.asarray(rows, np.int64).reshape(-1, 4),
+                        columns=["x1", "y1", "x2", "y2"]).assign(
+        seg_id=lambda d: np.arange(len(d), dtype=np.int64))[
+        ["seg_id", "x1", "y1", "x2", "y2"]]
+
+
+def test_segment_crossings_adversarial_parity(ray_session, monkeypatch):
+    """polygons.segment_crossings == the brute-force double loop on
+    inputs built against the cell layout: every segment inside one
+    64-cell, 45-degree diagonals over many cells, endpoints on
+    multiples of 64, shared endpoints / T-junctions / collinear
+    overlaps (none of which count), and an empty A or B side. Each case
+    also runs with the per-chunk pair budget cut to 3, so the bucket
+    gathers in many chunks (a chunk boundary must not lose or repeat a
+    pair)."""
+    import pyarrow as pa
+    import ray
+
+    from ophois_ray import polygons
+
+    rng = np.random.default_rng(41)
+    hot = (_segs(rng.integers(0, 64, (40, 4))), _segs(rng.integers(0, 64, (40, 4))))
+    o = rng.integers(0, 400, (30, 2))
+    length = rng.integers(64, 640, (30, 1))
+    diag = (_segs(np.hstack([o, o + length])),
+            _segs(np.hstack([o[:, :1], o[:, 1:] + length, o[:, :1] + length, o[:, 1:]])))
+    grid = (_segs(rng.integers(0, 11, (40, 4)) * 64),
+            _segs(rng.integers(0, 11, (40, 4)) * 64 + rng.integers(-1, 2, (40, 4)).clip(0)))
+    touch = (_segs([[0, 0, 128, 128], [0, 64, 64, 64], [10, 0, 10, 200]]),
+             _segs([[128, 128, 256, 0],     # shared endpoint
+                    [64, 64, 192, 192],     # collinear overlap
+                    [32, 64, 64, 64],       # collinear overlap, horizontal
+                    [64, 64, 64, 0],        # T: endpoint on A's interior
+                    [10, 100, 80, 100],     # endpoint on A's interior
+                    [0, 128, 128, 0]]))     # proper crossings
+    cases = {"hot_cell": hot, "diagonals": diag, "multiples_of_64": grid,
+             "touching": touch, "empty_a": (hot[0].iloc[:0], hot[1]),
+             "empty_b": (hot[0], hot[1].iloc[:0])}
+
+    def ds(df):  # via Arrow: a 0-row from_pandas Dataset drops its columns
+        return ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
+
+    for chunk in (polygons._PAIR_CHUNK, 3):
+        monkeypatch.setattr(polygons, "_PAIR_CHUNK", chunk)
+        for name, (A, B) in cases.items():
+            exp = _brute_crossings(A, B)
+            out = polygons.segment_crossings(ds(A), ds(B), num_buckets=8).to_pandas()
+            got = (out.astype(np.int64).sort_values("seg_id", ignore_index=True)
+                   if len(out) else exp.iloc[:0])
+            pd.testing.assert_frame_equal(got, exp, obj=f"{name}, chunk {chunk}")
+    assert len(_brute_crossings(*hot)) > 20
+    # only B's last segment crosses A properly: A0 at (64, 64), A2 at (10, 118)
+    assert _brute_crossings(*touch).values.tolist() == [[0, 1], [2, 1]]
+
+
+def test_pip_join_no_polygons_and_zero_area_polygon():
+    """PolygonIndex.join with an empty polygon dict returns no pairs; a
+    polygon whose edges are all horizontal (zero area) contains no
+    point, even when a point falls in its prefilter cells and inside a
+    neighbouring polygon; a point in no prefilter cell has no pair."""
+    rows, pid = PolygonIndex({}).join(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+    assert len(rows) == 0 and len(pid) == 0
+    idx = PolygonIndex({0: [(5.0, 0.0), (5.0, 10.0), (5.0, 4.0)],
+                        1: [(0.0, 0.0), (0.0, 10.0), (10.0, 10.0), (10.0, 0.0)]})
+    lat, lon = np.array([5.5, 20.0, -80.0]), np.array([5.0, 5.0, 170.0])
+    assert idx.cell_polys.counts(cells.cell_of(lat, lon, idx.res)).tolist()[2] == 0
+    rows, pid = idx.join(lat, lon)
+    assert rows.tolist() == [0] and pid.tolist() == [1]
+
+
 def test_cell_regions_ladder_parity(ray_session):
     """polygons.cell_regions: the under-cap driver kernel and the
     forced-over-cap distributed dissolve (``forced_rung("large")``,
