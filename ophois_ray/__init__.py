@@ -15,7 +15,7 @@ Module map (SURVEY.md §7.1):
   graphio     .graph text <-> (nodes, edges) Datasets, parquet writers
   graphops    dedup (D1/D2), degree, coord joins, metrics (M1-M5),
               degree-oriented triangle counting
-  components  connected components (label propagation + driver union-find)
+  components  connected components (driver min-label kernel + label propagation ladder)
   discretize  D0 distributed edge discretization
   osm         P1-P4 OSM XML scan/parse chain + synthetic OSM generator
   cells       from-scratch quadtree cell index (u64 ids, k-ring, covers)

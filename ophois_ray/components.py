@@ -2,91 +2,46 @@
 src/heuristics.rs:10-58) and per-component distributed simplify
 (H2-H6, heuristics.rs:60-169) — SURVEY.md §7.4 two-level design.
 
-Two component strategies:
+One component labeler with two rungs, switched by ``joins.ladder`` on
+the edge count against ``DEFAULT_BROADCAST_CAP``:
 
-- ``method="local"``: stream the (deduped, canonical) edge list to the
-  driver and union-find it. A city street graph is ~1e6 edges ≈ tens of
-  MB — trivially driver-sized. Guarded by ``cap``; the default for the
-  reference-parity pipelines.
-- ``method="labelprop"``: distributed hash-min label propagation — each
-  round joins arc messages to current labels and takes the per-node min;
-  converges in O(graph diameter) rounds, every round one bucketed hash
-  join + one groupby. The unbounded-scale path; same results, tested on
-  the same fixtures.
+- small: the (id) and (u, v) key columns come to the driver and one
+  numpy min-label / pointer-jump kernel (``_min_label_cc``) labels
+  them — no exchange at all;
+- large: distributed hash-min label propagation with pointer jumping
+  (``connected_components_labelprop``), one bucketed join + one
+  grouped min per round, O(log diameter) rounds.
+
+Both give every node the smallest node id of its component, and both
+raise ``ValueError`` on an edge whose endpoint is not a node (the
+reference panics on it). ``connected_components_auto`` returns the
+(id, comp) table; H1 and the contraction attach the labels to the
+graph on the same rung (``_labelled``).
 
 Contraction heuristics run **per component** inside
 ``groupby(comp).map_groups`` using the sequential oracle kernel — a
 component fits one task while thousands of components (cities, tiles)
-parallelize across the cluster. This is not a port of the reference's
-single-heap loop: the dataflow shape is groupby/map_groups; the kernel
-is the same algorithm the reference runs, pinned to deterministic order.
+parallelize across the cluster. A component larger than
+``DEFAULT_TASK_CAP`` nodes is first contracted by the distributed H3,
+then — if it is still too big — split into delta-interaction units
+(``contract_units``); each step is a ladder on the largest component's
+node count. This is not a port of the reference's single-heap loop:
+the dataflow shape is groupby/map_groups; the kernel is the same
+algorithm the reference runs, pinned to deterministic order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 import pandas as pd
 
-from ray.data.aggregate import Count, Min
-
-from .joins import (DEFAULT_BROADCAST_CAP, BroadcastIndex, hash_join, ladder,
-                    stable_hash)
+from .joins import (DEFAULT_BROADCAST_CAP, BroadcastIndex, grouped_apply,
+                    hash_join, ladder, stable_hash)
 from .oracle import OracleGraph
+from .pages import _fetch_cached
 
-DEFAULT_LOCAL_CAP = 50_000_000  # edges
 DEFAULT_TASK_CAP = 2_000_000  # max nodes of one component in one map_groups task
-
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-
-    def find(self, x: str) -> str:
-        p = self.parent
-        root = x
-        while p.get(root, root) != root:
-            root = p[root]
-        while p.get(x, x) != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # min-root keeps labels deterministic (smallest id wins)
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
-
-
-def connected_components_local(nodes, edges, cap: int = DEFAULT_LOCAL_CAP) -> dict[str, str]:
-    """id -> component label (smallest node id in the component).
-
-    Streams edge batches to the driver (never materializes node payloads)
-    and union-finds them; isolated nodes get their own label.
-    """
-    uf = _UnionFind()
-    seen = 0
-    for batch in edges.select_columns(["u", "v"]).iter_batches(batch_format="numpy"):
-        u_arr = batch["u"]
-        v_arr = batch["v"]
-        seen += len(u_arr)
-        if seen > cap:
-            raise ValueError(
-                f"edge count exceeds local cap {cap}; use method='labelprop'"
-            )
-        for u, v in zip(u_arr, v_arr):
-            uf.union(u, v)
-    labels = {}
-    for batch in nodes.select_columns(["id"]).iter_batches(batch_format="numpy"):
-        for node_id in batch["id"]:
-            labels[node_id] = uf.find(node_id)
-    return labels
+_DANGLING = "edge endpoints missing from the node table"
 
 
 def connected_components_labelprop(nodes, edges, max_rounds: int = 50, num_buckets: int = 64):
@@ -102,6 +57,11 @@ def connected_components_labelprop(nodes, edges, max_rounds: int = 50, num_bucke
     the jump term contracts label chains exponentially, giving
     O(log diameter) rounds. Convergence detected via a deterministic
     signature (xor of hash(id||label)).
+
+    The label join is a LEFT join, so a request for a key that is no
+    node (an edge endpoint missing from the node table) surfaces as a
+    null label in the first round's signature pass and raises
+    ``ValueError`` — the rule of the driver kernel.
     """
     labels = nodes.select_columns(["id"]).map_batches(
         lambda df: pd.DataFrame({"id": df["id"], "comp": df["id"]}),
@@ -123,20 +83,33 @@ def connected_components_labelprop(nodes, edges, max_rounds: int = 50, num_bucke
         return e.map_batches(fn, batch_format="pandas")
 
     arcs = arcs_of(edges.select_columns(["u", "v"])).materialize()
+    if labels.count() == 0:
+        if arcs.count():
+            raise ValueError(_DANGLING)
+        return labels
 
     def signature(lbl) -> int:
         def h(df: pd.DataFrame) -> pd.DataFrame:
             vals = stable_hash(
                 (df["id"].astype(str) + "\x00" + df["comp"].astype(str)).to_numpy(object)
             )
-            return pd.DataFrame(
-                {"sig": np.array([np.bitwise_xor.reduce(vals)], dtype=np.uint64)}
-            )
+            return pd.DataFrame({
+                "sig": np.array([np.bitwise_xor.reduce(vals)], dtype=np.uint64),
+                "missing": [int(df["comp"].isna().sum())],
+            })
 
         parts = lbl.map_batches(h, batch_format="pandas").to_pandas()
         if not len(parts):
             return 0
+        if parts["missing"].sum():
+            raise ValueError(_DANGLING)
         return int(np.bitwise_xor.reduce(parts["sig"].to_numpy().astype(np.uint64)))
+
+    def min_label(df: pd.DataFrame) -> pd.DataFrame:
+        missing = df["comp"].isna()
+        if missing.any():  # keep the null labels for the signature pass
+            return pd.concat([min_label(df[~missing]), df.loc[missing, ["id", "comp"]]])
+        return df.groupby("id", as_index=False)["comp"].min()
 
     # static half of the per-round label requests: every arc asks for
     # its source's label on behalf of its target
@@ -165,13 +138,12 @@ def connected_components_labelprop(nodes, edges, max_rounds: int = 50, num_bucke
                 batch_format="pandas",
             ),
             "key",
+            how="left",
             num_buckets=num_buckets,
         ).map_batches(
             lambda df: pd.DataFrame({"id": df["out"], "comp": df["comp"]}),
             batch_format="pandas",
         )
-        from .joins import grouped_apply
-
         # repartition: map_groups emits one block per bucket and union
         # sums block counts, so without coalescing the label table's
         # block count multiplies ~4x per round (measured: round times
@@ -180,7 +152,7 @@ def connected_components_labelprop(nodes, edges, max_rounds: int = 50, num_bucke
             grouped_apply(
                 labels.union(got),
                 "id",
-                lambda df: df.groupby("id", as_index=False)["comp"].min(),
+                min_label,
                 num_buckets=num_buckets,
             )
             .repartition(min(num_buckets, 16))
@@ -212,19 +184,11 @@ def _min_label_cc(ids: np.ndarray, iu: np.ndarray, iv: np.ndarray) -> np.ndarray
         lab = nxt
 
 
-def connected_components_broadcast(nodes, edges):
-    """Broadcast-regime connected components -> Dataset (id, comp):
-    the key columns ship to one process and a vectorized min-label
-    kernel (``_min_label_cc``) resolves the fixpoint in-memory — no
-    per-round barriers at all. Same labels as ``_labelprop`` (smallest
-    node id in the component) by construction; callers gate on edge
-    count (see ``connected_components_auto``). The distributed
-    labelprop pays ~3 exchange barriers per round regardless of data
-    size, which dominates end-to-end time whenever the key columns fit
-    a single heap (measured: 38.9 s -> sub-second on the sf0.1 part
-    chain graph)."""
-    import ray
-
+def _driver_labels(nodes, edges) -> tuple[np.ndarray, np.ndarray]:
+    """The small rung's labels on the driver: (ids, comp) with ``ids``
+    the sorted distinct node ids and ``comp[i]`` the smallest id of
+    ``ids[i]``'s component (``_min_label_cc``). An edge endpoint that
+    is no node raises ``ValueError``."""
     id_parts = [b["id"] for b in nodes.select_columns(["id"]).iter_batches(
         batch_format="numpy", batch_size=None)]
     ids = np.unique(np.concatenate(id_parts)) if id_parts else np.array([], np.int64)
@@ -237,14 +201,31 @@ def connected_components_broadcast(nodes, edges):
     v = np.concatenate(vs) if vs else np.array([], ids.dtype)
     iu = np.searchsorted(ids, u)
     iv = np.searchsorted(ids, v)
-    if len(iu) and not (np.array_equal(ids[iu], u) and np.array_equal(ids[iv], v)):
-        raise ValueError("edge endpoints missing from the node table")
-    lab = _min_label_cc(ids, iu, iv)
-    import pyarrow as pa
+    if len(u) and not (len(ids)
+                       and np.array_equal(ids[np.minimum(iu, len(ids) - 1)], u)
+                       and np.array_equal(ids[np.minimum(iv, len(ids) - 1)], v)):
+        raise ValueError(_DANGLING)
+    return ids, ids[_min_label_cc(ids, iu, iv)]
 
+
+def connected_components_broadcast(nodes, edges):
+    """Broadcast-regime connected components -> Dataset (id, comp):
+    the key columns ship to one process and a vectorized min-label
+    kernel (``_min_label_cc``) resolves the fixpoint in-memory — no
+    per-round barriers at all. Same labels as the labelprop (smallest
+    node id in the component) by construction; callers gate on edge
+    count (see ``connected_components_auto``). The distributed
+    labelprop pays ~3 exchange barriers per round regardless of data
+    size, which dominates end-to-end time whenever the key columns fit
+    a single heap (measured: 38.9 s -> sub-second on the sf0.1 part
+    chain graph)."""
+    import pyarrow as pa
+    import ray
+
+    ids, comp = _driver_labels(nodes, edges)
     # via Arrow: a 0-row from_pandas dataset drops its schema
     return ray.data.from_arrow(pa.Table.from_pandas(
-        pd.DataFrame({"id": ids, "comp": ids[lab]}), preserve_index=False))
+        pd.DataFrame({"id": ids, "comp": comp}), preserve_index=False))
 
 
 def connected_components_auto(nodes, edges, *, max_rounds: int = 50,
@@ -263,58 +244,76 @@ def connected_components_auto(nodes, edges, *, max_rounds: int = 50,
             nodes, edges, max_rounds=max_rounds, num_buckets=num_buckets))
 
 
-def largest_component(nodes, edges, *, method: str = "local", cap: int = DEFAULT_LOCAL_CAP):
+def _labelled(name: str, nodes, edges, *, num_buckets: int):
+    """The graph with its component labels attached, as one ladder on
+    the edge count: ``(nodes + comp, edges + comp, best, n)``, where an
+    edge carries its ``u``'s label and ``best`` is the largest
+    component (ties -> smallest label; None on an empty graph) with
+    ``n`` nodes.
+
+    Small rung: ``_driver_labels`` on the driver, then a broadcast
+    label lookup per batch — no exchange. Large rung: the labelprop
+    table, hash-joined onto nodes and edges; the largest component is
+    reduced per hash bucket, so the driver pulls one row per bucket."""
+    import ray
+
+    edges = edges.materialize()
+
+    def small():
+        ids, comp = _driver_labels(nodes, edges)
+        labs, counts = np.unique(comp, return_counts=True)
+        top = int(np.argmax(counts)) if len(counts) else None  # first max: smallest label
+        ref = ray.put(BroadcastIndex(ids, {"comp": comp}))
+
+        def attach(col):
+            def fn(df: pd.DataFrame) -> pd.DataFrame:
+                idx = _fetch_cached(ref)
+                return df.assign(comp=idx.lookup(df[col].to_numpy(object), "comp"))
+            return fn
+
+        return (nodes.map_batches(attach("id"), batch_format="pandas"),
+                edges.map_batches(attach("u"), batch_format="pandas"),
+                None if top is None else labs[top],
+                0 if top is None else int(counts[top]))
+
+    def large():
+        few = min(num_buckets, 8)  # the label table is key columns only
+        labels = connected_components_labelprop(nodes, edges, num_buckets=few)
+
+        def bucket_top(df: pd.DataFrame) -> pd.DataFrame:
+            h = df.groupby("comp", as_index=False).agg(n=("id", "size"))
+            return h[h["n"] == h["n"].max()].sort_values("comp").head(1)
+
+        tops = grouped_apply(labels, "comp", bucket_top, num_buckets=few).to_pandas()
+        best, n = None, 0
+        if len(tops):  # a 0-row to_pandas has no columns
+            n = int(tops["n"].max())
+            best = tops.loc[tops["n"] == n, "comp"].min()
+        return (hash_join(nodes, labels, "id", num_buckets=num_buckets),
+                hash_join(edges, labels.map_batches(
+                    lambda df: df.rename(columns={"id": "u"}), batch_format="pandas"),
+                    "u", num_buckets=num_buckets),
+                best, n)
+
+    return ladder(name, edges.count(), DEFAULT_BROADCAST_CAP, small, large)
+
+
+def largest_component(nodes, edges):
     """H1: filter (nodes, edges) to the largest connected component
     (reference heuristics.rs:10-58; ties -> smallest component label,
-    matching the oracle's sorted-seed first-encounter rule).
+    matching the oracle's sorted-seed first-encounter rule). The
+    labels come from ``_labelled``; an edge endpoint that is no node
+    raises ``ValueError``, as in the reference."""
+    nodes_l, edges_l, best, _ = _labelled(
+        "components.largest_component", nodes, edges, num_buckets=8)
+    if best is None:
+        return nodes, edges
 
-    Membership filtering broadcasts the winning id set (city-scale);
-    at unbounded scale swap the final filter for a hash_join semi-join.
-    """
-    if method == "local":
-        labels = connected_components_local(nodes, edges, cap=cap)
-        if not labels:
-            return nodes, edges
-        counts: dict[str, int] = {}
-        for comp in labels.values():
-            counts[comp] = counts.get(comp, 0) + 1
-        # deterministic tie-break: max count, then smallest label
-        best_count = max(counts.values())
-        best = min(c for c, n in counts.items() if n == best_count)
-        member_ids = np.array(sorted(k for k, v in labels.items() if v == best), dtype=object)
-    else:
-        labels_ds = connected_components_labelprop(nodes, edges, num_buckets=8)
-        hist = labels_ds.groupby("comp").aggregate(Count(alias_name="n")).to_pandas()
-        best_count = hist["n"].max()
-        best = hist[hist["n"] == best_count]["comp"].min()
-        member_ids = np.sort(
-            labels_ds.map_batches(
-                lambda df, b=best: df[df["comp"] == b][["id"]], batch_format="pandas"
-            ).to_pandas()["id"].to_numpy(object)
-        )
+    def member(df: pd.DataFrame) -> pd.DataFrame:
+        return df[df["comp"].to_numpy(object) == best].drop(columns=["comp"])
 
-    import ray
-
-    idx_ref = ray.put(BroadcastIndex(member_ids, {}))
-
-    def filter_nodes(df: pd.DataFrame) -> pd.DataFrame:
-        idx = _get(idx_ref)
-        return df[idx.contains(df["id"].to_numpy(object))]
-
-    def filter_edges(df: pd.DataFrame) -> pd.DataFrame:
-        idx = _get(idx_ref)
-        return df[idx.contains(df["u"].to_numpy(object))]
-
-    return (
-        nodes.map_batches(filter_nodes, batch_format="pandas"),
-        edges.map_batches(filter_edges, batch_format="pandas"),
-    )
-
-
-def _get(ref):
-    import ray
-
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+    return (nodes_l.map_batches(member, batch_format="pandas"),
+            edges_l.map_batches(member, batch_format="pandas"))
 
 
 # ------------------------------------------------- distributed H3 (scale path)
@@ -327,8 +326,6 @@ def _double_step(T, num_buckets: int):
     row's value (2^r -> 2^(r+1) steps); rows whose value arc has a
     non-degree-2 head match nothing (such arcs are never keys) and are
     absorbed — ``moved`` False forever after."""
-    from .joins import grouped_apply
-
     def as_left(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {"jq": df["vq"], "jp": df["vp"], "a": df["kq"], "b": df["kp"], "side": 0}
@@ -413,8 +410,8 @@ def _h3_rewrite_local(nodes, edges, s_pairs):
     c_ref = ray.put(frozenset(chain))
 
     def dup_scan(df: pd.DataFrame) -> pd.DataFrame:
-        sset = _get(s_ref)
-        cset = _get(c_ref)
+        sset = _fetch_cached(s_ref)
+        cset = _fetch_cached(c_ref)
         keep = [
             (u, v)
             for u, v in zip(df["u"], df["v"])
@@ -439,7 +436,7 @@ def _h3_rewrite_local(nodes, edges, s_pairs):
     new_pairs = sorted(chain - dup_pairs)
 
     def survivors(df: pd.DataFrame) -> pd.DataFrame:
-        sset = _get(s_ref)
+        sset = _fetch_cached(s_ref)
         m = np.array([u not in sset and v not in sset for u, v in zip(df["u"], df["v"])])
         if len(m) == 0:
             return df[["u", "v"]]
@@ -458,7 +455,7 @@ def _h3_rewrite_local(nodes, edges, s_pairs):
         edges_out = edges_out.union(ray.data.from_pandas(chain_df))
 
     def node_survivors(df: pd.DataFrame) -> pd.DataFrame:
-        sset = _get(s_ref)
+        sset = _fetch_cached(s_ref)
         m = np.array([i not in sset for i in df["id"]])
         if len(m) == 0:
             return df
@@ -506,8 +503,6 @@ def remove_degree_two_nodes_distributed(
 
     Returns (nodes_out, edges_out) with the input schemas preserved.
     """
-    from .joins import grouped_apply
-
     def to_arcs(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
@@ -552,8 +547,6 @@ def remove_degree_two_nodes_distributed(
 def _h3_rewrite_doubling(nodes, edges, arcs, s_pairs, *, num_buckets: int,
                          max_rounds: int):
     """Over-cap H3: pointer doubling, then the distributed rewrite."""
-    from .joins import grouped_apply
-
     # init: every arc into an S node maps to the arc one step onward
     arcs_in = hash_join(
         arcs.map_batches(
@@ -730,9 +723,10 @@ def _tag_for_group(nodes_l, edges_l):
 
 def _contract_grouped(nodes_l, edges_l, delta: float, *, skip_h3: bool):
     """groupby(comp).map_groups with the oracle kernel on labelled
-    (nodes_l, edges_l). ``skip_h3`` when degree-2 contraction already ran
-    distributed (the H3 result has no new ids, so pre/post labels agree
-    and H4 -> H6 per component is exactly the reference chain's tail)."""
+    (nodes_l, edges_l) -> (nodes_out, edges_out). ``skip_h3`` when
+    degree-2 contraction already ran distributed (the H3 result has no
+    new ids, so pre/post labels agree and H4 -> H6 per component is
+    exactly the reference chain's tail)."""
     tagged = _tag_for_group(nodes_l, edges_l)
 
     def contract(group: pd.DataFrame) -> pd.DataFrame:
@@ -758,7 +752,30 @@ def _contract_grouped(nodes_l, edges_l, delta: float, *, skip_h3: bool):
 
     # contraction output is a small fraction of the input; materialize so
     # the two kind-filters below don't re-run the shuffle twice.
-    return tagged.groupby("comp").map_groups(contract, batch_format="pandas").materialize()
+    result = tagged.groupby("comp").map_groups(contract, batch_format="pandas").materialize()
+    nodes_out = result.map_batches(
+        lambda df: pd.DataFrame(
+            {
+                "id": df[df["kind"] == _NODE_KIND]["a"],
+                "lat_str": df[df["kind"] == _NODE_KIND]["b"],
+                "lon_str": df[df["kind"] == _NODE_KIND]["c"],
+            }
+        ).assign(
+            lat=lambda d: d["lat_str"].astype(np.float64),
+            lon=lambda d: d["lon_str"].astype(np.float64),
+        ),
+        batch_format="pandas",
+    )
+    edges_out = result.map_batches(
+        lambda df: pd.DataFrame(
+            {
+                "u": df[df["kind"] == _EDGE_KIND]["a"],
+                "v": df[df["kind"] == _EDGE_KIND]["b"],
+            }
+        ),
+        batch_format="pandas",
+    )
+    return nodes_out, edges_out
 
 
 class _MergeTrackingGraph(OracleGraph):
@@ -837,7 +854,6 @@ def contract_units(
     edges,
     delta: float,
     *,
-    task_cap: int = DEFAULT_TASK_CAP,
     num_buckets: int = 64,
     meta_cap: int = 5_000_000,
     max_meta_rounds: int = 25,
@@ -870,16 +886,16 @@ def contract_units(
     - Clusters whose cross edge could dip to <= delta
       (L <= delta + r(A) + r(B), conservatively) are merged into one
       unit; merging grows the bbox, so the rule iterates to a
-      fixpoint (distributed candidate filter per round, driver
-      union-find over only the candidate cluster pairs).
+      fixpoint (distributed candidate filter per round, then the
+      ``_min_label_cc`` kernel over only the candidate cluster pairs).
 
     Cross-unit edges (> delta always) are shipped into BOTH incident
     units as frozen phantom context: the kernel sees them as H4
     blockers and H6 no-ops (only their > delta status matters — it is
     invariant), and after contraction each unit reports the final id
     of its boundary nodes so the cross edges are re-attached by a
-    mapping join. A unit larger than ``task_cap`` nodes raises: that
-    is a genuinely sequential delta-dense blob (no exact split
+    mapping join. A unit larger than ``DEFAULT_TASK_CAP`` nodes raises:
+    that is a genuinely sequential delta-dense blob (no exact split
     exists under reference semantics).
 
     Returns (nodes_out, edges_out) with the contract_components output
@@ -890,29 +906,18 @@ def contract_units(
 
     from . import graphops
     from .geo import EARTH_RADIUS_M
-    from .joins import grouped_apply
 
     nodes = nodes.materialize()
     ec = graphops.edge_lengths(
-        graphops.attach_coords(
-            edges.select_columns(["u", "v"]), nodes, method="shuffle"
-        )
+        graphops.attach_coords(edges.select_columns(["u", "v"]), nodes)
     ).materialize()
 
     short = ec.map_batches(
         lambda df: df.loc[df["length_m"].to_numpy() <= delta, ["u", "v"]],
         batch_format="pandas",
-    ).materialize()
-    if short.count() == 0:
-        labels = nodes.map_batches(
-            lambda df: pd.DataFrame({"id": df["id"], "comp": df["id"]}),
-            batch_format="pandas",
-        )
-    else:
-        labels = connected_components_labelprop(
-            nodes, short, num_buckets=min(num_buckets, 8)
-        )
-    labels = labels.materialize()
+    )
+    labels = connected_components_auto(
+        nodes, short, num_buckets=min(num_buckets, 8)).materialize()
 
     nodes_lbl = hash_join(nodes, labels, "id", num_buckets=num_buckets
                           ).materialize()
@@ -930,14 +935,15 @@ def contract_units(
         "v", num_buckets=num_buckets,
     ).materialize()
 
-    # ---- unit fixpoint: driver union-find over only the candidate pairs
-    uf = _UnionFind()
+    # ---- unit fixpoint: min-label kernel over only the candidate pairs
+    unit_of: dict = {}  # cluster label -> unit label (smallest merged label)
+    pair_a, pair_b = np.array([], object), np.array([], object)
 
     def unit_col(df: pd.DataFrame, col: str, mref) -> np.ndarray:
         # C-level hash lookup across the whole column (Series.map),
         # identity for unmapped comps — never a per-element Python loop
-        # (this path only runs on >task_cap graphs)
-        m = _get(mref)
+        # (this path only runs on over-cap graphs)
+        m = _fetch_cached(mref)
         if not m:
             return df[col].to_numpy(object)
         s = df[col]
@@ -945,7 +951,7 @@ def contract_units(
         return out.where(out.notna(), s).to_numpy(object)
 
     for _round in range(max_meta_rounds + 1):
-        mref = ray.put({c: uf.find(c) for c in list(uf.parent)})
+        mref = ray.put(unit_of)
 
         def with_units(df: pd.DataFrame, _m=mref) -> pd.DataFrame:
             df = df.copy()
@@ -1015,19 +1021,24 @@ def contract_units(
                 f"{meta_cap}; the graph is delta-dense beyond the exact "
                 "unit decomposition"
             )
-        merged_any = False
-        for a, b in zip(cand_df["uu"], cand_df["uv"]):
-            if uf.find(a) != uf.find(b):
-                uf.union(a, b)
-                merged_any = True
-        if not merged_any:
+        # the candidate pairs join current units; every round's pairs
+        # together join the clusters, and a unit is labelled by its
+        # smallest cluster label
+        pair_a = np.concatenate([pair_a, cand_df["uu"].to_numpy(object)])
+        pair_b = np.concatenate([pair_b, cand_df["uv"].to_numpy(object)])
+        ids = np.unique(np.concatenate([pair_a, pair_b]))
+        root = ids[_min_label_cc(ids, np.searchsorted(ids, pair_a),
+                                 np.searchsorted(ids, pair_b))]
+        merged = root != ids
+        if merged.sum() == len(unit_of):  # no candidate joined two units
             break
+        unit_of = dict(zip(ids[merged], root[merged]))
     else:
         raise ValueError(
             f"unit fixpoint did not converge in {max_meta_rounds} rounds"
         )
 
-    final_map = ray.put({c: uf.find(c) for c in list(uf.parent)})
+    final_map = ray.put(unit_of)
 
     # ---- final unit labels, sizes, and row routing
     node_unit = nodes_lbl.map_batches(
@@ -1048,10 +1059,10 @@ def contract_units(
             batch_format="pandas", batch_size=None) if len(b)),
         default=0,
     )
-    if max_n > task_cap:
+    if max_n > DEFAULT_TASK_CAP:
         raise ValueError(
-            f"delta-interaction unit with {max_n} nodes exceeds task_cap "
-            f"{task_cap}: H4/H6 inside one unit are order-dependent "
+            f"delta-interaction unit with {max_n} nodes exceeds DEFAULT_TASK_CAP "
+            f"{DEFAULT_TASK_CAP}: H4/H6 inside one unit are order-dependent "
             "sequential semantics with no exact split"
         )
 
@@ -1266,152 +1277,52 @@ def contract_units(
     return nodes_out.materialize(), edges_out.materialize()
 
 
-def contract_components(
-    nodes,
-    edges,
-    delta: float,
-    *,
-    method: str = "local",
-    cap: int = DEFAULT_LOCAL_CAP,
-    task_cap: int = DEFAULT_TASK_CAP,
-    num_buckets: int = 64,
-):
+def contract_components(nodes, edges, delta: float, *, num_buckets: int = 64):
     """Run the contraction chain H3 -> H4 -> H6 (remove_degree_two_nodes,
     remove_under_delta_nodes, remove_under_delta_links — reference
     main.rs:68-71 minus H1) independently on every connected component,
     in parallel, via groupby(comp).map_groups with the oracle kernel.
 
-    Scale guard: a component larger than ``task_cap`` nodes does not fit
-    one map_groups task, so its dominant pass — degree-2 chain
-    contraction, the bulk of any real street graph — first runs as the
-    exact distributed dataflow (``remove_degree_two_nodes_distributed``,
-    pointer doubling) and only the contracted remainder goes through the
-    per-component kernel for H4/H6. ``method="labelprop"`` takes that
-    distributed route unconditionally and labels components with the
-    distributed hash-min propagation (no driver union-find anywhere);
-    ``method="local"`` uses the driver union-find and auto-upgrades to
-    the distributed H3 when the guard trips.
+    Task-size guard, one ladder per step on the largest component's
+    node count against ``DEFAULT_TASK_CAP``: a component that does not
+    fit one map_groups task first gets its dominant pass — degree-2
+    chain contraction, the bulk of any real street graph — as the exact
+    distributed dataflow (``remove_degree_two_nodes_distributed``), and
+    only the relabelled remainder goes through the per-component kernel
+    for H4/H6; if a component is still too big, ``contract_units``
+    splits it into provably non-interacting delta units.
 
     Returns (nodes_out, edges_out) Datasets. Contraction never crosses a
     component boundary (all rewrites stay inside one component), so the
     parallelism is exact, not approximate.
     """
-    import ray
-
-    skip_h3 = False
-    if method == "labelprop":
-        n1, e1 = remove_degree_two_nodes_distributed(
-            nodes, edges, num_buckets=num_buckets
-        )
-        nodes, edges = n1.materialize(), e1.materialize()
-        skip_h3 = True
-        from .joins import grouped_apply
-
-        labels_ds = connected_components_labelprop(
-            nodes, edges, num_buckets=min(num_buckets, 8)
-        )
-        hist = grouped_apply(
-            labels_ds,
-            "comp",
-            lambda df: df.groupby("comp", as_index=False).agg(n=("id", "size")),
-            num_buckets=min(num_buckets, 8),
-        ).to_pandas()
-        if len(hist) and hist["n"].max() > task_cap:
-            # a component too big for one task even after degree-2
-            # contraction: switch to the exact delta-interaction-unit
-            # decomposition (H4/H6 per unit, provably non-interacting)
-            return contract_units(
-                nodes, edges, delta,
-                task_cap=task_cap, num_buckets=num_buckets,
-            )
-        nodes_l = hash_join(nodes, labels_ds, "id", num_buckets=num_buckets)
-        edges_l = hash_join(
-            edges,
-            labels_ds.map_batches(
-                lambda df: df.rename(columns={"id": "u"}), batch_format="pandas"
-            ),
-            "u",
-            num_buckets=num_buckets,
-        )
-        result = _contract_grouped(nodes_l, edges_l, delta, skip_h3=True)
-    else:
-        labels = connected_components_local(nodes, edges, cap=cap)
-        sizes = Counter(labels.values())
-        if sizes and max(sizes.values()) > task_cap:
-            n1, e1 = remove_degree_two_nodes_distributed(
-                nodes, edges, num_buckets=num_buckets
-            )
-            nodes, edges = n1.materialize(), e1.materialize()
-            skip_h3 = True
-            labels = connected_components_local(nodes, edges, cap=cap)
-            sizes = Counter(labels.values())
-            if sizes and max(sizes.values()) > task_cap:
-                # exact fallback: per-delta-interaction-unit H4/H6
-                return contract_units(
-                    nodes, edges, delta,
-                    task_cap=task_cap, num_buckets=num_buckets,
-                )
-        label_idx = ray.put(
-            BroadcastIndex(
-                np.array(list(labels.keys()), dtype=object),
-                {"comp": np.array(list(labels.values()), dtype=object)},
-            )
-        )
-
-        def attach_node(df: pd.DataFrame) -> pd.DataFrame:
-            idx = _get(label_idx)
-            df = df.copy()
-            df["comp"] = idx.lookup(df["id"].to_numpy(object), "comp")
-            return df
-
-        def attach_edge(df: pd.DataFrame) -> pd.DataFrame:
-            idx = _get(label_idx)
-            df = df.copy()
-            df["comp"] = idx.lookup(df["u"].to_numpy(object), "comp")
-            return df
-
-        nodes_l = nodes.map_batches(attach_node, batch_format="pandas")
-        edges_l = edges.map_batches(attach_edge, batch_format="pandas")
-        result = _contract_grouped(nodes_l, edges_l, delta, skip_h3=skip_h3)
-
-    nodes_out = result.map_batches(
-        lambda df: pd.DataFrame(
-            {
-                "id": df[df["kind"] == _NODE_KIND]["a"],
-                "lat_str": df[df["kind"] == _NODE_KIND]["b"],
-                "lon_str": df[df["kind"] == _NODE_KIND]["c"],
-            }
-        ).assign(
-            lat=lambda d: d["lat_str"].astype(np.float64),
-            lon=lambda d: d["lon_str"].astype(np.float64),
-        ),
-        batch_format="pandas",
-    )
-    edges_out = result.map_batches(
-        lambda df: pd.DataFrame(
-            {
-                "u": df[df["kind"] == _EDGE_KIND]["a"],
-                "v": df[df["kind"] == _EDGE_KIND]["b"],
-            }
-        ),
-        batch_format="pandas",
-    )
-    return nodes_out, edges_out
+    nodes_l, edges_l, _, biggest = _labelled(
+        "components.contract_components", nodes, edges, num_buckets=num_buckets)
+    return ladder(
+        "components.task_cap.h3", biggest, DEFAULT_TASK_CAP,
+        lambda: _contract_grouped(nodes_l, edges_l, delta, skip_h3=False),
+        lambda: _contract_after_h3(nodes, edges, delta, num_buckets=num_buckets))
 
 
-def simplify(
-    nodes,
-    edges,
-    delta: float,
-    *,
-    method: str = "local",
-    task_cap: int = DEFAULT_TASK_CAP,
-):
+def _contract_after_h3(nodes, edges, delta: float, *, num_buckets: int):
+    """Over the task cap: distributed H3, relabel, then H4/H6 per
+    component — or per delta unit while a component stays over the cap."""
+    n1, e1 = remove_degree_two_nodes_distributed(nodes, edges, num_buckets=num_buckets)
+    n1, e1 = n1.materialize(), e1.materialize()
+    nodes_l, edges_l, _, biggest = _labelled(
+        "components.contract_components", n1, e1, num_buckets=num_buckets)
+    return ladder(
+        "components.task_cap.units", biggest, DEFAULT_TASK_CAP,
+        lambda: _contract_grouped(nodes_l, edges_l, delta, skip_h3=True),
+        lambda: contract_units(n1, e1, delta, num_buckets=num_buckets))
+
+
+def simplify(nodes, edges, delta: float):
     """Full reference `simplify` composition (main.rs:66-74):
     largest component -> degree-2 contraction -> under-delta node removal
     -> under-delta link contraction. Metrics are the caller's concern
     (graphops.emit_metrics), matching the reference's order where metrics
-    run after the rewrites. ``method="labelprop"`` runs every stage
-    distributed (no driver union-find / single-task component)."""
-    n1, e1 = largest_component(nodes, edges, method=method)
-    return contract_components(n1, e1, delta, method=method, task_cap=task_cap)
+    run after the rewrites. ``joins.forced_rung("large")`` runs every
+    stage distributed (no driver labels, no single-task component)."""
+    n1, e1 = largest_component(nodes, edges)
+    return contract_components(n1, e1, delta)

@@ -12,9 +12,9 @@ HashMap iteration order and is unasserted; ids/degrees — everything its
 tests check — are direction-invariant). New coordinate strings use
 shortest-round-trip repr == Rust f64::to_string (SURVEY.md §1.3).
 
-The coord-attach is recomputed for the node pass and the edge pass —
-two cheap streaming broadcast-join passes instead of materializing an
-intermediate that can exceed the input (output grows by ~len/delta).
+The coord-attach runs once and is materialized: the node pass and the
+edge pass both read it (the outputs, which grow by ~len/delta, stay
+streaming).
 """
 
 from __future__ import annotations
@@ -91,19 +91,19 @@ def _chain_edges(df: pd.DataFrame, delta: float) -> pd.DataFrame:
     )
 
 
-def discretize(nodes, edges, delta: float, **attach_kw):
+def discretize(nodes, edges, delta: float):
     """Discretize all edges longer than delta metres.
 
     Returns (nodes_out, edges_out): original nodes plus interpolated
-    chain nodes; short edges plus canonical chain edges. Streaming end
-    to end; no shuffle (the only exchange is the broadcast node index).
+    chain nodes; short edges plus canonical chain edges. No shuffle
+    below ``attach_coords``' broadcast cap (the only exchange is the
+    broadcast node index).
     """
-    ewc_a = attach_coords(edges, nodes, **attach_kw)
-    ewc_b = attach_coords(edges, nodes, **attach_kw)
-    new_nodes = ewc_a.map_batches(
+    ewc = attach_coords(edges, nodes).materialize()
+    new_nodes = ewc.map_batches(
         lambda df: _interp_nodes(df, delta), batch_format="pandas"
     )
-    edges_out = ewc_b.map_batches(
+    edges_out = ewc.map_batches(
         lambda df: _chain_edges(df, delta), batch_format="pandas"
     )
     nodes_out = nodes.select_columns(["id", "lat_str", "lon_str", "lat", "lon"]).union(

@@ -157,87 +157,83 @@ def degree_histogram(nodes, edges) -> dict[int, int]:
 # ----------------------------------------------------------- coord joins
 
 
-def _attach_coords_fn(index_ref):
-    """Task-pool coordinate stamper over the broadcast node index —
-    fetched once per WORKER via the pages._fetch_cached cache, not once
-    per actor: the stage is stateless apart from the broadcast, and an
-    actor pool costs seconds of startup per run while its explicit
-    concurrency poisons read fusion (the repo's measured rule)."""
-    from .pages import _fetch_cached
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        idx = _fetch_cached(index_ref)
-        u = df["u"].to_numpy(object)
-        v = df["v"].to_numpy(object)
-        df = df.copy()
-        df["u_lat"] = idx.lookup(u, "lat")
-        df["u_lon"] = idx.lookup(u, "lon")
-        df["v_lat"] = idx.lookup(v, "lat")
-        df["v_lon"] = idx.lookup(v, "lon")
+def _dangling(df: pd.DataFrame, found: np.ndarray, drop_dangling: bool) -> pd.DataFrame:
+    """Edges whose endpoints are all nodes: ``drop_dangling`` drops the
+    rest (engine policy for refs to missing nodes, SURVEY.md §7.4);
+    otherwise one raises ``ValueError``, as the reference panics
+    (graph.rs:148)."""
+    if found.all():
         return df
+    if drop_dangling:
+        return df[found]
+    raise ValueError("edge endpoints missing from the node table, e.g. "
+                     f"{df.loc[~found, ['u', 'v']].head(3).to_numpy().tolist()!r}")
 
-    return fn
 
-
-def _attach_coords_drop_fn(index_ref):
-    """Dangling-endpoint-dropping variant (engine policy for refs to
-    missing nodes — the reference would panic, graph.rs:148;
-    SURVEY.md §7.4)."""
+def _attach_broadcast(edges, coords, drop_dangling: bool):
+    """Under-cap attach: the (id, lat, lon) table is ray.put once and
+    every edge task looks it up via searchsorted — zero shuffle. A task
+    function fetching the index once per WORKER via the
+    pages._fetch_cached cache, not an actor pool: the stage is stateless
+    apart from the broadcast, and an actor pool costs seconds of startup
+    per run while its explicit concurrency poisons read fusion (the
+    repo's measured rule)."""
     from .pages import _fetch_cached
 
+    ref = put_index(coords, "id", ["lat", "lon"])
+
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        idx = _fetch_cached(index_ref)
+        idx = _fetch_cached(ref)
         u = df["u"].to_numpy(object)
         v = df["v"].to_numpy(object)
         ula, fu = idx.lookup_with_mask(u, "lat")
         ulo, _ = idx.lookup_with_mask(u, "lon")
         vla, fv = idx.lookup_with_mask(v, "lat")
         vlo, _ = idx.lookup_with_mask(v, "lon")
-        ok = fu & fv
-        df = df.copy()
-        df["u_lat"], df["u_lon"], df["v_lat"], df["v_lon"] = ula, ulo, vla, vlo
-        return df[ok]
+        df = df.assign(u_lat=ula, u_lon=ulo, v_lat=vla, v_lon=vlo)
+        return _dangling(df, fu & fv, drop_dangling)
 
-    return fn
+    return edges.map_batches(fn, batch_format="pandas")
 
 
-def attach_coords(
-    edges,
-    nodes,
-    *,
-    method: str = "broadcast",
-    drop_dangling: bool = False,
-    cap: int = DEFAULT_BROADCAST_CAP,
-):
+def _attach_joined(edges, coords, drop_dangling: bool):
+    """Over-cap attach: two bucketed LEFT hash joins (u, then v) with a
+    found-marker per endpoint, then the same dangling rule."""
+    if edges.schema() is None:  # a 0-row map output: nothing to attach
+        return edges
+    if coords.count() == 0:  # every edge dangles; a join needs a schema
+        return _attach_broadcast(edges, coords, drop_dangling)
+
+    def side(s: str):
+        return coords.map_batches(
+            lambda df: pd.DataFrame({s: df["id"], f"{s}_lat": df["lat"],
+                                     f"{s}_lon": df["lon"], f"__{s}": True}),
+            batch_format="pandas")
+
+    def check(df: pd.DataFrame) -> pd.DataFrame:
+        found = (df["__u"].notna() & df["__v"].notna()).to_numpy()
+        return _dangling(df.drop(columns=["__u", "__v"]), found, drop_dangling)
+
+    step1 = hash_join(edges, side("u"), "u", how="left")
+    return hash_join(step1, side("v"), "v", how="left").map_batches(
+        check, batch_format="pandas")
+
+
+def attach_coords(edges, nodes, *, drop_dangling: bool = False):
     """Join edge endpoints to node coordinates -> adds u_lat/u_lon/v_lat/v_lon.
 
-    method="broadcast" (default): nodes table is ray.put once, looked up
-    per batch via searchsorted — zero shuffle; right for city-scale node
-    tables (cap rows). method="shuffle": two bucketed hash joins — the
-    unbounded-scale path.
+    One ladder on the node rows: up to ``DEFAULT_BROADCAST_CAP`` the
+    (id, lat, lon) table is ray.put once and looked up per batch via
+    searchsorted — zero shuffle; above it two bucketed hash joins. On
+    both rungs an edge endpoint that is no node is dropped with
+    ``drop_dangling`` and raises ``ValueError`` in the edge task
+    otherwise.
     """
-    if method == "broadcast":
-        ref = put_index(nodes, "id", ["lat", "lon"], cap=cap)
-        fn = (_attach_coords_drop_fn if drop_dangling
-              else _attach_coords_fn)(ref)
-        return edges.map_batches(fn, batch_format="pandas")
-    coords = nodes.select_columns(["id", "lat", "lon"])
-    step1 = hash_join(
-        edges,
-        coords.map_batches(
-            lambda df: df.rename(columns={"id": "u", "lat": "u_lat", "lon": "u_lon"}),
-            batch_format="pandas",
-        ),
-        "u",
-    )
-    return hash_join(
-        step1,
-        coords.map_batches(
-            lambda df: df.rename(columns={"id": "v", "lat": "v_lat", "lon": "v_lon"}),
-            batch_format="pandas",
-        ),
-        "v",
-    )
+    coords = nodes.select_columns(["id", "lat", "lon"]).materialize()
+    return ladder(
+        "graphops.attach_coords", coords.count(), DEFAULT_BROADCAST_CAP,
+        lambda: _attach_broadcast(edges, coords, drop_dangling),
+        lambda: _attach_joined(edges, coords, drop_dangling))
 
 
 def edge_lengths(edges_with_coords):
@@ -254,10 +250,10 @@ def edge_lengths(edges_with_coords):
     return edges_with_coords.map_batches(fn, batch_format="pandas")
 
 
-def length_histogram(edges, nodes, **attach_kw) -> dict[int, int]:
+def length_histogram(edges, nodes) -> dict[int, int]:
     """M3: trunc(metres) -> edge count (reference metrics.rs:35-53,
     u32 truncation at :47)."""
-    withc = edge_lengths(attach_coords(edges, nodes, **attach_kw))
+    withc = edge_lengths(attach_coords(edges, nodes))
 
     def bucketize(df: pd.DataFrame) -> pd.DataFrame:
         b = df["length_m"].to_numpy().astype(np.int64)  # trunc toward zero (>=0)
@@ -289,14 +285,14 @@ def sort_and_stringify(hist: dict[int, int]) -> str:
     return "".join(f"{k} {v}\n" for k, v in sorted(hist.items()))
 
 
-def emit_metrics(nodes, edges, param: str, outdir: str = "./ophois_metrics", **attach_kw):
+def emit_metrics(nodes, edges, param: str, outdir: str = "./ophois_metrics"):
     """M5: write order_size_{param} / degrees_{param} / lengths_{param}
     text files (reference metrics.rs:8-24, values_to_file :69-75).
     Returns the three values as Python objects as well."""
     os.makedirs(outdir, exist_ok=True)
     osz = order_size(nodes, edges)
     deg = degree_histogram(nodes, edges)
-    lens = length_histogram(edges, nodes, **attach_kw)
+    lens = length_histogram(edges, nodes)
     with open(os.path.join(outdir, f"order_size_{param}"), "w") as f:
         f.write(osz)
     with open(os.path.join(outdir, f"degrees_{param}"), "w") as f:

@@ -240,7 +240,7 @@ def _packed_key(df: pd.DataFrame) -> np.ndarray:
 
 def _key_valid(t: "pa.Table"):
     """The D4 null-key rule as a row mask: a row with a null url or a
-    null warc_ts never wins, under either ``dedup_pages`` strategy."""
+    null warc_ts never wins in ``dedup_pages``."""
     import pyarrow.compute as pc
 
     return pc.and_(pc.is_valid(t["url"]), pc.is_valid(t["warc_ts"]))
@@ -295,8 +295,7 @@ def _build_winner_arrays_impl(*tables):
     }
 
 
-def dedup_pages(pages, *, strategy: str = "broadcast", num_buckets: int = 64,
-                key_source=None):
+def dedup_pages(pages, *, key_source=None):
     """D4: keep one row per url — earliest warc_ts, ties broken by the
     smaller html content hash (deterministic).
 
@@ -306,55 +305,34 @@ def dedup_pages(pages, *, strategy: str = "broadcast", num_buckets: int = 64,
     Dataset does not push down; measured 3x on 10 KB-html tables).
     Defaults to ``pages``.
 
-    strategy="broadcast" (default): pass A scans ONLY (url, warc_ts) —
-    columns pruned at the parquet read — projects each batch to
-    (url, win_ts, n_at_win=1) in Arrow, and hands the blocks straight
-    to one Ray task that performs the exact per-url merge and assembles
-    the sorted winner arrays (the driver only ever sees block refs and
-    the tiny tied-url set). There is no exchange: that task must see
-    every url anyway, so a pre-combine shuffle would only add a barrier.
-    Urls whose minimum timestamp is shared by several rows
-    (rare in a real crawl) get an extra scan that tie-breaks on the
-    html content hash. Pass B broadcast-filters and FUSES with the
-    downstream extract/geotag task stages into a single streaming pass.
-    The html payload is never shuffled. Right up to worker-heap url
-    cardinality (~1e8 for the broadcast arrays); beyond that use
-    strategy="shuffle".
+    Pass A scans ONLY (url, warc_ts) — columns pruned at the parquet
+    read — projects each batch to (url, win_ts, n_at_win=1) in Arrow,
+    and hands the blocks straight to one Ray task that performs the
+    exact per-url merge and assembles the sorted winner arrays (the
+    driver only ever sees block refs and the tiny tied-url set). There
+    is no exchange: that task must see every url anyway, so a
+    pre-combine shuffle would only add a barrier. Urls whose minimum
+    timestamp is shared by several rows (rare in a real crawl) get an
+    extra scan that tie-breaks on the html content hash. Pass B
+    broadcast-filters and FUSES with the downstream extract/geotag task
+    stages into a single streaming pass. The html payload is never
+    shuffled.
 
-    strategy="shuffle": canonical hash-partition of full rows by url +
-    per-bucket first. Unbounded, but moves the payload through the
-    exchange — measured pathological for multi-KB object columns at
-    high local parallelism, so it is the explicit scale-out path, not
-    the default.
+    Bound: the winner arrays — every distinct url as a Python str in an
+    object array, plus its int64 winning ts — are built in one task and
+    held by every pass-B worker, about 100 bytes per 40-character url.
+    So the distinct urls must fit one worker heap: ~1e7 urls is ~1 GB,
+    ~1e8 is ~10 GB.
 
-    Under both strategies a row with a null url or a null warc_ts never
-    wins; a url whose every row has a null warc_ts is dropped.
+    A row with a null url or a null warc_ts never wins; a url whose
+    every row has a null warc_ts is dropped.
 
-    Byte-identical duplicate ROWS (same url AND warc_ts AND html) in
-    different input blocks both match the winner key under "broadcast"
-    and both survive; "shuffle" collapses them. True-duplicate rows are
-    an upstream storage bug, not a crawl artifact, so the fast path
-    does not pay a shuffle to handle them.
+    Byte-identical duplicate ROWS (same url AND warc_ts AND html) all
+    match the winner key and all survive: the rule picks the winning
+    (url, ts, html) KEY, not a row. True-duplicate rows are an upstream
+    storage bug, not a crawl artifact, so dedup does not pay a shuffle
+    to collapse them.
     """
-    if strategy == "shuffle":
-        def add_key(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[df["url"].notna() & df["warc_ts"].notna()]
-            return df.assign(__packed=_packed_key(df))
-
-        def keep_first(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.sort_values(["url", "__packed"], kind="stable")
-            df = df.drop_duplicates(subset=["url"], keep="first")
-            return df.drop(columns=["__packed"])
-
-        from .joins import grouped_apply
-
-        return grouped_apply(
-            pages.map_batches(add_key, batch_format="pandas"),
-            "url",
-            keep_first,
-            num_buckets=num_buckets,
-        )
-
     # ---- pass A: min warc_ts per url, reading ONLY (url, warc_ts) ----
     # No pre-combine: the winner task merges every url exactly and must
     # see every url anyway, so an exchange before it only adds a barrier

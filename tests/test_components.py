@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 
 from ophois_ray import components, discretize, graphio, graphops
-from ophois_ray.joins import forced_rung
+from ophois_ray.joins import forced_rung, ladder_log
 from ophois_ray.oracle import OracleGraph
 from tests.conftest import load_fixture_text
 
@@ -14,7 +14,10 @@ pytestmark = pytest.mark.usefixtures("ray_session")
 
 
 def tables_from(name: str):
-    text = load_fixture_text(name)
+    return tables_from_text(load_fixture_text(name))
+
+
+def tables_from_text(text: str):
     nodes, edges = graphio.graph_from_text(text)
     return (
         graphops.dedup_nodes(nodes).materialize(),
@@ -35,12 +38,14 @@ def degrees_from_tables(nodes, edges) -> dict:
 
 def test_largest_component_local():  # heuristics.rs:174-204
     nodes, edges = tables_from("test_bfs.graph")
-    n2, e2 = components.largest_component(nodes, edges, method="local")
-    assert graph_counts(n2, e2) == (18, 20)
     oracle = OracleGraph.from_text(load_fixture_text("test_bfs.graph")).bfs_largest_component()
-    assert degrees_from_tables(n2.materialize(), e2.materialize()) == {
-        n: oracle.degree(n) for n in oracle.coords
-    }
+    for rung in ("small", "large"):
+        with forced_rung(rung, "components.largest_component"):
+            n2, e2 = components.largest_component(nodes, edges)
+        assert graph_counts(n2, e2) == (18, 20), rung
+        assert degrees_from_tables(n2.materialize(), e2.materialize()) == {
+            n: oracle.degree(n) for n in oracle.coords
+        }, rung
 
 
 def test_labelprop_matches_local_small():
@@ -59,8 +64,10 @@ def test_labelprop_matches_local_small():
     edges = graphops.dedup_edges(edges).materialize()
     labels = components.connected_components_labelprop(nodes, edges, num_buckets=4)
     got = {r["id"]: r["comp"] for r in labels.iter_rows()}
-    assert got == components.connected_components_local(nodes, edges)
-    n2, e2 = components.largest_component(nodes, edges, method="labelprop")
+    local = components.connected_components_broadcast(nodes, edges)
+    assert got == {r["id"]: r["comp"] for r in local.iter_rows()}
+    with forced_rung("large", "components.largest_component"):
+        n2, e2 = components.largest_component(nodes, edges)
     assert graph_counts(n2, e2) == (4, 4)
 
 
@@ -225,7 +232,8 @@ def test_contract_labelprop_matches_oracle():
     # the fully distributed path (no driver union-find): distributed H3
     # + labelprop labels + per-component H4/H6 kernel
     nodes, edges = tables_from("cailles.graph")
-    n2, e2 = components.contract_components(nodes, edges, 10.0, method="labelprop")
+    with forced_rung("large", "components.contract_components", "components.task_cap.h3"):
+        n2, e2 = components.contract_components(nodes, edges, 10.0)
     oracle = OracleGraph.from_text(load_fixture_text("cailles.graph"))
     oracle.remove_degree_two_nodes()
     oracle.remove_under_delta_nodes(10.0)
@@ -236,13 +244,17 @@ def test_contract_labelprop_matches_oracle():
     }
 
 
-def test_contract_task_cap_guard_forces_distributed_h3():
-    # a component above task_cap triggers the distributed-H3 fallback on
-    # the local path; the result must be identical to the oracle chain
+def test_contract_task_cap_guard_forces_distributed_h3(monkeypatch):
+    # a component above DEFAULT_TASK_CAP triggers the distributed-H3
+    # rung; the result must be identical to the oracle chain
     nodes, edges = tables_from("cailles.graph")
     # cailles is 26 nodes pre-H3 and 14 post-H3: cap 20 trips the guard
     # on entry and is satisfied after the distributed contraction
-    n2, e2 = components.contract_components(nodes, edges, 10.0, task_cap=20)
+    monkeypatch.setattr(components, "DEFAULT_TASK_CAP", 20)
+    n2, e2 = components.contract_components(nodes, edges, 10.0)
+    rungs = {r["name"]: (r["size"], r["rung"]) for r in ladder_log()}
+    assert rungs["components.task_cap.h3"] == (26, "large")
+    assert rungs["components.task_cap.units"] == (14, "small")
     oracle = OracleGraph.from_text(load_fixture_text("cailles.graph"))
     oracle.remove_degree_two_nodes()
     oracle.remove_under_delta_nodes(10.0)
@@ -365,42 +377,122 @@ def _k4_chain_tables(n_clusters: int = 10):
     return nodes, edges
 
 
-def test_contract_components_units_fallback_above_task_cap():
-    """A component whose contracted form still exceeds task_cap used to
-    raise; it must now route through contract_units and match the
-    whole-graph oracle chain, on both methods. 40-node component,
-    task_cap=5, delta-units of size 4."""
-    for method in ("local", "labelprop"):
+def test_contract_components_units_fallback_above_task_cap(monkeypatch):
+    """A component whose contracted form still exceeds DEFAULT_TASK_CAP
+    used to raise; it must now route through contract_units and match
+    the whole-graph oracle chain, on both label rungs. 40-node
+    component, DEFAULT_TASK_CAP=5, delta-units of size 4."""
+    monkeypatch.setattr(components, "DEFAULT_TASK_CAP", 5)
+    for rung in ("small", "large"):
         nodes, edges = _k4_chain_tables(10)
-        n2, e2 = components.contract_components(
-            nodes, edges, 10.0, method=method, task_cap=5
-        )
+        with forced_rung(rung, "components.contract_components"):
+            n2, e2 = components.contract_components(nodes, edges, 10.0)
+        rungs = {r["name"]: (r["size"], r["rung"]) for r in ladder_log()}
+        assert rungs["components.task_cap.units"] == (40, "large"), rung
         oracle = _oracle_from_tables(nodes, edges)
         oracle.remove_degree_two_nodes()
         oracle.remove_under_delta_nodes(10.0)
         oracle.remove_under_delta_links(10.0)
         ids, es = _graph_state(n2, e2)
-        assert ids == dict(oracle.coords), method
-        assert es == oracle.undirected_edges(), method
+        assert ids == dict(oracle.coords), rung
+        assert es == oracle.undirected_edges(), rung
 
 
-def test_contract_units_dense_unit_still_guarded():
+def test_contract_units_dense_unit_still_guarded(monkeypatch):
     """A delta-dense blob that cannot decompose (every edge short) must
     still raise loudly rather than split inexactly."""
     nodes, edges = tables_from("cailles.graph")
     n1, e1 = components.remove_degree_two_nodes_distributed(nodes, edges)
+    monkeypatch.setattr(components, "DEFAULT_TASK_CAP", 5)
     with pytest.raises(ValueError, match="delta-interaction unit"):
-        components.contract_units(n1, e1, 10.0, task_cap=5, num_buckets=4)
+        components.contract_units(n1, e1, 10.0, num_buckets=4)
 
 
 def test_simplify_labelprop_full_composition():
     nodes, edges = tables_from("test_bfs.graph")
-    n2, e2 = components.simplify(nodes, edges, 10.0, method="labelprop")
+    with forced_rung("large", "components.largest_component",
+                     "components.contract_components", "components.task_cap.h3"):
+        n2, e2 = components.simplify(nodes, edges, 10.0)
     oracle = OracleGraph.from_text(load_fixture_text("test_bfs.graph")).simplify(10.0)
     assert graph_counts(n2, e2) == (oracle.n_nodes(), oracle.n_edges())
     assert degrees_from_tables(n2.materialize(), e2.materialize()) == {
         n: oracle.degree(n) for n in oracle.coords
     }
+
+
+#: the label ladders and the first task guard: forced large, H1 and the
+#: contraction run on labelprop labels and the distributed H3
+LARGE_LABELS = ("components.largest_component", "components.contract_components",
+                "components.task_cap.h3")
+
+ADVERSARIAL = "\n".join([
+    # two equal largest components (4 nodes each) whose smallest ids
+    # order differently as strings and as numbers: "10" < "9"
+    "9␟48.0␟2.0", "90␟48.001␟2.0", "91␟48.002␟2.0", "92␟48.003␟2.0",
+    "10␟49.0␟3.0", "11␟49.001␟3.0", "12␟49.0␟3.001", "13␟49.001␟3.001",
+    # isolated nodes, one sorting before and one after every other id
+    "0␟47.0␟1.0", "zz␟47.5␟1.5",
+    "9␟90", "90␟91", "91␟92",
+    "10␟11", "10␟12", "10␟13", "11␟13",
+])
+
+
+def _empty_tables():
+    import pyarrow as pa
+    import ray
+
+    s = pa.string()
+    return (ray.data.from_arrow(pa.table({
+                "id": pa.array([], s), "lat_str": pa.array([], s),
+                "lon_str": pa.array([], s), "lat": pa.array([], pa.float64()),
+                "lon": pa.array([], pa.float64())})),
+            ray.data.from_arrow(pa.table({"u": pa.array([], s), "v": pa.array([], s)})))
+
+
+def test_component_ladders_match_oracle_on_both_rungs():
+    """H1, the contraction and the full simplify, each forced small and
+    forced large, against the oracle: a tie between two largest
+    components broken by the smallest label in STRING order, isolated
+    nodes, and an empty graph."""
+    nodes, edges = tables_from_text(ADVERSARIAL)
+    h1 = OracleGraph.from_text(ADVERSARIAL).bfs_largest_component()
+    assert sorted(h1.coords) == ["10", "11", "12", "13"]
+    contracted = OracleGraph.from_text(ADVERSARIAL)
+    for step in (contracted.remove_degree_two_nodes,
+                 lambda: contracted.remove_under_delta_nodes(100.0),
+                 lambda: contracted.remove_under_delta_links(100.0)):
+        step()
+    simplified = OracleGraph.from_text(ADVERSARIAL).simplify(100.0)
+    empty_nodes, empty_edges = _empty_tables()
+    for rung, names in (("small", ()), ("large", LARGE_LABELS)):
+        with forced_rung(rung, *names):
+            got_h1 = _graph_state(*components.largest_component(nodes, edges))
+            got_cc = _graph_state(*components.contract_components(nodes, edges, 100.0))
+            got_s = _graph_state(*components.simplify(nodes, edges, 100.0))
+            got_empty = [graph_counts(*components.largest_component(empty_nodes, empty_edges)),
+                         graph_counts(*components.simplify(empty_nodes, empty_edges, 100.0))]
+        assert got_h1 == (dict(h1.coords), h1.undirected_edges()), rung
+        assert got_cc == (dict(contracted.coords), contracted.undirected_edges()), rung
+        assert got_s == (dict(simplified.coords), simplified.undirected_edges()), rung
+        assert got_empty == [(0, 0), (0, 0)], rung
+
+
+@pytest.mark.parametrize("dangling", [("a", "x"), ("0", "a"), ("x", "y")])
+def test_component_ladders_raise_on_dangling_edges(dangling):
+    """An edge endpoint that is no node raises one ValueError on both
+    label rungs (the reference panics): after every id ("x"), before
+    every id ("0"), and both endpoints missing."""
+    text = "\n".join(["a␟48.0␟2.0", "b␟48.1␟2.0", "c␟48.2␟2.0", "a␟b", "b␟c",
+                      "␟".join(dangling)])
+    nodes, edges = graphio.graph_from_text(text)
+    nodes = graphops.dedup_nodes(nodes).materialize()
+    edges = graphops.dedup_edges(edges).materialize()
+    for rung in ("small", "large"):
+        with forced_rung(rung):
+            with pytest.raises(ValueError, match="edge endpoints missing"):
+                components.connected_components_auto(nodes, edges, num_buckets=4)
+            with pytest.raises(ValueError, match="edge endpoints missing"):
+                components.largest_component(nodes, edges)
 
 
 def test_discretize_golden():  # discretize.rs:54-104

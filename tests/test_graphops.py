@@ -106,20 +106,25 @@ def test_degree_histogram_counts_isolates(ray_session):
     assert graphops.degree_histogram(nodes, edges) == {0: 1, 1: 2}
 
 
+CAILLES_LENGTHS = {  # metrics.rs:95-112
+    1: 5, 2: 3, 3: 1, 4: 5, 5: 2, 6: 2, 8: 2, 10: 1, 11: 1, 12: 1,
+    14: 1, 15: 2, 18: 1, 22: 1, 34: 1, 87: 1,
+}
+
+
 def test_length_histogram_broadcast(cailles_tables):
     nodes, edges = cailles_tables
     hist = graphops.length_histogram(edges, nodes)
-    expected = {
-        1: 5, 2: 3, 3: 1, 4: 5, 5: 2, 6: 2, 8: 2, 10: 1, 11: 1, 12: 1,
-        14: 1, 15: 2, 18: 1, 22: 1, 34: 1, 87: 1,
-    }
-    assert hist == expected  # metrics.rs:95-112
+    assert hist == CAILLES_LENGTHS
 
 
 def test_length_histogram_shuffle_join(cailles_tables):
+    from ophois_ray.joins import forced_rung
+
     nodes, edges = cailles_tables
-    hist = graphops.length_histogram(edges, nodes, method="shuffle")
-    assert hist[87] == 1 and sum(hist.values()) == 30
+    with forced_rung("large", "graphops.attach_coords"):
+        hist = graphops.length_histogram(edges, nodes)
+    assert hist == CAILLES_LENGTHS
 
 
 def test_order_size(cailles_tables):
@@ -137,17 +142,44 @@ def test_emit_metrics_files(cailles_tables, tmp_path):
     assert (tmp_path / "lengths_simplify=10").read_text().startswith("1 5\n2 3\n")
 
 
-def test_attach_coords_drop_dangling(ray_session):
+def test_attach_coords_drop_dangling(ray_session, monkeypatch):
+    """Both attach rungs follow one dangling rule: an edge with an
+    endpoint that is no node — after every id ("x"), before every id
+    ("0"), or both ("x"-"y") — is dropped under ``drop_dangling`` and
+    raises ValueError otherwise; the other edges keep equal coords."""
     import ray.data
+    from ray.data import DataContext
 
-    nodes = ray.data.from_items(
-        [{"id": "a", "lat_str": "0", "lon_str": "0", "lat": 0.0, "lon": 0.0, "seq": 0}]
-    )
-    edges = ray.data.from_items([{"u": "a", "v": "missing"}])
-    out = graphops.attach_coords(edges, nodes, drop_dangling=True)
-    assert out.count() == 0
-    with pytest.raises(Exception):
-        graphops.attach_coords(edges, nodes, drop_dangling=False).materialize()
+    from ophois_ray.joins import forced_rung
+
+    # surface the edge task's own exception, not Ray's wrapper
+    monkeypatch.setattr(DataContext.get_current(), "raise_original_map_exception", True)
+    nodes = ray.data.from_items([
+        {"id": "a", "lat_str": "0", "lon_str": "0", "lat": 0.0, "lon": 0.0, "seq": 0},
+        {"id": "b", "lat_str": "1", "lon_str": "2", "lat": 1.0, "lon": 2.0, "seq": 1},
+    ])
+    cols = ["u", "v", "u_lat", "u_lon", "v_lat", "v_lon"]
+    for u, v in (("a", "x"), ("0", "a"), ("x", "y")):
+        edges = ray.data.from_items([{"u": "a", "v": "b"}, {"u": u, "v": v}])
+        for rung in ("small", "large"):
+            with forced_rung(rung, "graphops.attach_coords"):
+                out = graphops.attach_coords(edges, nodes, drop_dangling=True).to_pandas()
+                assert out[cols].to_dict("records") == [
+                    {"u": "a", "v": "b", "u_lat": 0.0, "u_lon": 0.0,
+                     "v_lat": 1.0, "v_lon": 2.0}], (u, v, rung)
+                with pytest.raises(ValueError, match="edge endpoints missing"):
+                    graphops.attach_coords(edges, nodes).materialize()
+    # empty sides: no edges (with and without a schema), and no nodes
+    no_nodes = nodes.filter(lambda r: False).materialize()
+    no_edges = edges.map_batches(lambda df: df.iloc[:0], batch_format="pandas")
+    for rung in ("small", "large"):
+        with forced_rung(rung, "graphops.attach_coords"):
+            assert graphops.attach_coords(edges.limit(0), nodes).count() == 0, rung
+            assert graphops.attach_coords(no_edges, nodes).count() == 0, rung
+            assert graphops.attach_coords(
+                edges, no_nodes, drop_dangling=True).count() == 0, rung
+            with pytest.raises(ValueError, match="edge endpoints missing"):
+                graphops.attach_coords(edges, no_nodes).materialize()
 
 
 def test_write_graph_roundtrip(cailles_tables, tmp_path):

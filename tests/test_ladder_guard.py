@@ -1,8 +1,10 @@
 """Guard for the one rung-switch primitive: every choice between a
 small-input plan and a distributed plan goes through ``joins.ladder``,
-and no library function takes a per-call cap parameter to pick its
-rung (tests force rungs with ``joins.forced_rung`` instead). Parses the
-library with ``ast``; ``queries.py`` (the query catalog) is excluded."""
+and no library function takes a per-call cap parameter or a
+``method=``/``strategy=`` string to pick its rung (tests force rungs
+with ``joins.forced_rung`` instead). Parses the library with ``ast``;
+``queries.py`` (the query catalog) is excluded. A comparison whose
+``if`` body only raises is a size limit, not a rung switch."""
 
 import ast
 import pathlib
@@ -11,16 +13,21 @@ LIB = pathlib.Path(__file__).resolve().parent.parent / "ophois_ray"
 
 #: per-call rung caps the library no longer takes
 REMOVED_PARAMS = {"broadcast_cap", "local_cap", "driver_pair_cap",
-                  "driver_verify_cap", "single_task_cap", "local_cap_bytes"}
+                  "driver_verify_cap", "single_task_cap", "local_cap_bytes",
+                  "task_cap", "method", "strategy"}
+
+#: library names that are gone with the driver union-find labeler
+REMOVED_DEFS = {"connected_components_local", "_UnionFind", "DEFAULT_LOCAL_CAP"}
 
 #: functions whose rung switch is a ladder call (directly, or through
 #: the graphops node-state ladder pair)
 LADDERED = {
     "components": ["connected_components_auto",
-                   "remove_degree_two_nodes_distributed"],
+                   "remove_degree_two_nodes_distributed", "largest_component",
+                   "contract_components"],
     "dedup": ["exact_dedup_filter", "ngram_jaccard_pairs", "pairs_to_groups",
               "minhash_near_dup_groups"],
-    "graphops": ["triangle_count", "triangles_per_node", "kcore_peel",
+    "graphops": ["attach_coords", "triangle_count", "triangles_per_node", "kcore_peel",
                  "bfs_depths", "random_walks", "pagerank_int", "sssp_rounds",
                  "hits_int", "degree_assortativity_stats"],
     "joins": ["distinct_rows"],
@@ -30,7 +37,7 @@ LADDERED = {
     "spatial": ["compact_cells"],
     "textstats": ["collocations"],
 }
-LADDER_CALLS = {"ladder", "_node_state_ladders"}
+LADDER_CALLS = {"ladder", "_node_state_ladders", "_labelled"}
 _ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 
@@ -63,22 +70,38 @@ def _is_count(node):
             and isinstance(node.func, ast.Attribute) and not node.args)
 
 
+def _raise_only_tests(tree):
+    """ids of the tests of ``if`` statements whose body only raises."""
+    return {id(n.test) for n in ast.walk(tree) if isinstance(n, ast.If)
+            and all(isinstance(b, ast.Raise) for b in n.body) and not n.orelse}
+
+
 def violations(lib=LIB):
-    """Every hand-rolled rung switch or removed cap parameter in ``lib``."""
+    """Every hand-rolled rung switch, removed parameter or removed name
+    in ``lib``."""
     trees = _modules(lib)
     caps = _ladder_caps(trees) | REMOVED_PARAMS
+    laddered = {(m, f) for m, fs in LADDERED.items() for f in fs}
     out = []
     for mod, tree in trees.items():
-        skip = set()
+        skip = _raise_only_tests(tree)
         for node in ast.walk(tree):
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names = {_name(t) for t in targets}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            for gone in names & REMOVED_DEFS:
+                out.append(f"{mod}: defines {gone}")
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             a = node.args
             for arg in a.posonlyargs + a.args + a.kwonlyargs:
-                if arg.arg in REMOVED_PARAMS:
+                if arg.arg in REMOVED_PARAMS or (
+                        arg.arg == "cap" and (mod, node.name) in laddered):
                     out.append(f"{mod}.{node.name}: parameter {arg.arg}")
             if mod == "joins" and node.name == "ladder":
-                skip = {id(n) for n in ast.walk(node)}
+                skip |= {id(n) for n in ast.walk(node)}
         for node in ast.walk(tree):
             if (not isinstance(node, ast.Compare) or id(node) in skip
                     or not any(isinstance(op, _ORDER) for op in node.ops)):

@@ -145,12 +145,7 @@ def test_dedup_pages_cross_block_dups_and_ts_ties():
     )
     assert got.loc["a", "html"] == exp.loc["a", "html"]
     assert (got["warc_ts"] == exp["warc_ts"]).all()
-    # shuffle strategy agrees on every winner
-    got_sh = (
-        pages.dedup_pages(ds, strategy="shuffle").to_pandas()
-        .set_index("url").sort_index()
-    )
-    assert (got_sh["html"] == got["html"]).all()
+    assert (got["html"] == exp["html"]).all()
 
 
 def _dedup_oracle(df: pd.DataFrame) -> pd.DataFrame:
@@ -204,10 +199,10 @@ def test_dedup_pages_winner_urls_sized_by_total_bytes():
     assert (got["html"] == b"<p>first</p>").all()
 
 
-def test_dedup_pages_null_keys_never_win_both_strategies():
-    """One null-key rule for both strategies: a null url never wins (and
-    never matches a literal "None" winner), a null warc_ts never beats a
-    real one, and a url whose only rows have null warc_ts is dropped."""
+def test_dedup_pages_null_keys_never_win():
+    """The null-key rule: a null url never wins (and never matches a
+    literal "None" winner), a null warc_ts never beats a real one, and a
+    url whose only rows have null warc_ts is dropped."""
     t = pd.Timestamp
     nat = pd.NaT
     blocks = [
@@ -225,18 +220,13 @@ def test_dedup_pages_null_keys_never_win_both_strategies():
     ds = ray.data.from_pandas(blocks)
     exp = _dedup_oracle(pd.concat(blocks, ignore_index=True))
     assert list(exp.index) == ["None", "a"]
-    for strategy in ("broadcast", "shuffle"):
-        got = (
-            pages.dedup_pages(ds, strategy=strategy).to_pandas()
-            .set_index("url").sort_index()
-        )
-        assert list(got.index) == ["None", "a"], strategy
-        assert list(got["html"]) == [b"<p>lit-none</p>", b"<p>a-real</p>"], strategy
-        assert (got["warc_ts"] == exp["warc_ts"]).all(), strategy
+    got = pages.dedup_pages(ds).to_pandas().set_index("url").sort_index()
+    assert list(got.index) == ["None", "a"]
+    assert list(got["html"]) == [b"<p>lit-none</p>", b"<p>a-real</p>"]
+    assert (got["warc_ts"] == exp["warc_ts"]).all()
     # only null keys: no winners, and pass B still runs without raising
     only_null = ray.data.from_pandas([blocks[1].iloc[1:]])
-    for strategy in ("broadcast", "shuffle"):
-        assert pages.dedup_pages(only_null, strategy=strategy).count() == 0
+    assert pages.dedup_pages(only_null).count() == 0
 
 
 def test_dedup_pages_pass_a_block_layout_independent():
@@ -276,14 +266,14 @@ def test_dedup_pages_pass_a_block_layout_independent():
 
 
 def test_dedup_pages_broadcast_runs_without_an_exchange(pages_ds, monkeypatch):
-    """Pass A hands its key blocks straight to the winner task: the
-    broadcast strategy must not call repartition or groupby."""
+    """Pass A hands its key blocks straight to the winner task: dedup
+    must not call repartition or groupby."""
     def refuse(*a, **k):
-        raise AssertionError("dedup_pages(strategy='broadcast') ran an exchange")
+        raise AssertionError("dedup_pages ran an exchange")
 
     monkeypatch.setattr(ray.data.Dataset, "repartition", refuse)
     monkeypatch.setattr(ray.data.Dataset, "groupby", refuse)
-    deduped = pages.dedup_pages(pages_ds, strategy="broadcast").to_pandas()
+    deduped = pages.dedup_pages(pages_ds).to_pandas()
     assert deduped["url"].is_unique
     assert len(deduped) == pages_ds.to_pandas()["url"].nunique()
 
